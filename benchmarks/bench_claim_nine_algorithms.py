@@ -2,7 +2,7 @@
 
 Every one of the nine integrated algorithms is executed on its applicable
 dataset type with the same privacy level; runtime and information loss are
-recorded so EXPERIMENTS.md can report a per-algorithm row (the per-algorithm
+recorded under ``benchmarks/results/`` as one row per algorithm (the
 efficiency/utility table the Comparison mode summarises graphically).
 """
 

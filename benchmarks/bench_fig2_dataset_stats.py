@@ -3,7 +3,7 @@
 The main screen of SECRETA loads an RT-dataset, lets the user edit it and
 plots histograms of the frequency of values in any attribute.  This benchmark
 times the statistics computation behind those plots and records the histogram
-series for EXPERIMENTS.md.
+series under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ The Evaluation screen (Figure 3) shows, for one configured method:
 (d) the relative error of transaction item frequencies.
 
 Each benchmark regenerates one of those series with the Cluster+Apriori
-combination under RTmerger and records it for EXPERIMENTS.md.
+combination under RTmerger and records it under ``benchmarks/results/``.
 """
 
 from __future__ import annotations

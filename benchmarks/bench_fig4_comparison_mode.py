@@ -3,7 +3,7 @@
 The Comparison screen (Figure 4) executes several configurations across a
 varying parameter and plots their utility and efficiency side by side.  The
 benchmark compares three representative configurations across k and records
-every indicator series; the expected *shape* (documented in EXPERIMENTS.md)
+every indicator series under ``benchmarks/results/``; the expected *shape*
 is that ARE and information loss grow with k and that local-recoding methods
 retain more utility than full-domain ones.
 """

@@ -1,10 +1,10 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every benchmark regenerates one artefact of the SECRETA paper (a figure, a
-demonstration scenario or a capability claim — see DESIGN.md's experiment
-index).  Besides timing the underlying operation with pytest-benchmark, each
+demonstration scenario or a capability claim, named in each module's
+docstring).  Besides timing the underlying operation with pytest-benchmark, each
 benchmark writes the data series it produced to ``benchmarks/results/`` so
-that EXPERIMENTS.md can record paper-vs-measured shapes from a single run:
+that paper-vs-measured shapes can be compared from a single run:
 
     pytest benchmarks/ --benchmark-only
 """

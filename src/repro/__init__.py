@@ -1,6 +1,6 @@
 """SECRETA reproduction: evaluate and compare anonymization algorithms.
 
-The package is organised in layers (see ``DESIGN.md``):
+The package is organised in layers:
 
 * :mod:`repro.datasets` — the RT-dataset model, CSV I/O, editing, statistics
   and synthetic data generators,

@@ -3,15 +3,28 @@
 The three hierarchy-based transaction algorithms (Apriori, LRA, VPA —
 Terrovitis, Mamoulis, Kalnis, VLDB J. 2011) all transform data by maintaining
 a *cut* of the item generalization hierarchy: a mapping from every original
-item to one of its ancestors such that the mapped nodes partition the item
-universe (full-subtree generalization).  Because the cut is a partition, the
-support of any combination of original items equals the support of the
-combination of their images, which makes the k^m-anonymity check cheap: it is
-enough to count the supports of the node combinations that actually occur in
-the generalized transactions.
+item to one of its ancestors.  Promoting a cut node replaces its whole
+sibling group by the parent, so the mapped nodes partition the item universe
+(full-subtree generalization).
 
-:class:`ItemCut` implements the cut and its generalization step;
-:class:`KmAnonymityChecker` enumerates violating combinations.
+:func:`greedy_km_anonymize` searches for a k^m-anonymous cut greedily: for
+each combination size from 1 to ``m`` it promotes the cut node involved in
+the most violating combinations until none is left.  It keeps one row-posting
+bitset per cut node (a Python ``int`` over the call's rows: bit ``r`` is set
+when row ``r`` holds an item mapped to the node), so the support of a node is
+``bit_count()`` of its posting and the support of a pair is ``bit_count()``
+of the AND of two postings; sizes 1 and 2 never generalize a transaction.
+Pair violations are kept across promotions: a promotion drops the pairs of
+the nodes it changed and recounts only those nodes against the other cut
+nodes, since every other posting is unchanged.  Combinations of three or
+more nodes are collected from the generalized transactions and counted by
+ANDing their postings.  Once the cut is final, callers map each distinct
+itemset through it once (:meth:`ItemCut.generalization_map`).
+
+The hierarchy's parent, subtree-leaf and tie-break rank tables are built on
+first use and memoized per :class:`~repro.hierarchy.hierarchy.Hierarchy`.
+:class:`KmAnonymityChecker` is the plain per-transaction reference check the
+search is tested against.
 """
 
 from __future__ import annotations
@@ -24,14 +37,52 @@ from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
 
 
+class _HierarchyTables:
+    """Flat lookups the cut search reads on every promotion."""
+
+    __slots__ = ("root", "parent", "leaves", "rank")
+
+    def __init__(self, hierarchy: Hierarchy):
+        nodes = list(hierarchy.iter_nodes())
+        self.root = hierarchy.root.label
+        #: node label -> parent label (``None`` for the root)
+        self.parent: dict[str, str | None] = {
+            node.label: None if node.parent is None else node.parent.label for node in nodes
+        }
+        #: node label -> the leaf labels of its subtree
+        self.leaves: dict[str, tuple[str, ...]] = {}
+        for node in reversed(nodes):  # pre-order reversed: children before parents
+            self.leaves[node.label] = (
+                (node.label,)
+                if node.is_leaf
+                else tuple(leaf for child in node.children for leaf in self.leaves[child.label])
+            )
+        #: node label -> tie-break rank among equally scored promotion
+        #: targets: the most specific (lowest-level) node wins, then the
+        #: largest label
+        ordered = sorted(nodes, key=lambda node: (node.depth, node.label))
+        self.rank: dict[str, int] = {node.label: rank for rank, node in enumerate(ordered)}
+
+
+_TABLES: "weakref.WeakKeyDictionary[Hierarchy, _HierarchyTables]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _tables(hierarchy: Hierarchy) -> _HierarchyTables:
+    tables = _TABLES.get(hierarchy)
+    if tables is None:
+        tables = _TABLES[hierarchy] = _HierarchyTables(hierarchy)
+    return tables
+
+
 class ItemCut:
     """A full-subtree generalization cut over an item hierarchy.
 
-    The cut carries a ``version`` counter that increments on every mutation;
-    consumers (the k^m-anonymity checker) key their per-cut caches on it.
-    Subtree leaf sets are memoized per node label (resolved from the
-    hierarchy itself — cut nodes are always hierarchy nodes, never item-group
-    labels), so repeated promotions never re-walk a subtree.
+    The cut carries a ``version`` counter that increments on every mutation,
+    so callers can tell whether a cut changed.  Cut nodes are always
+    hierarchy nodes (never item-group labels); a promotion moves exactly the
+    cut's items that are leaves under the new node.
     """
 
     def __init__(self, hierarchy: Hierarchy, items: Iterable[str]):
@@ -44,10 +95,8 @@ class ItemCut:
             )
         #: original item -> current cut node label
         self.mapping: dict[str, str] = {item: item for item in self.items}
-        #: incremented on every mutation; cache key for derived structures
+        #: incremented on every mutation
         self.version = 0
-        #: node label -> its subtree's leaf set (shared across copies)
-        self._node_leaves: dict[str, frozenset[str]] = {}
 
     # -- queries -------------------------------------------------------------
     @property
@@ -62,11 +111,12 @@ class ItemCut:
         """Map an original itemset to its generalized representation."""
         return frozenset(self.mapping[str(item)] for item in itemset)
 
+    def generalization_map(self, itemsets: Iterable[frozenset]) -> dict[frozenset, frozenset[str]]:
+        """Each distinct itemset mapped to its generalized representation."""
+        return {itemset: self.generalize_itemset(itemset) for itemset in set(itemsets)}
+
     def is_fully_generalized(self) -> bool:
         return self.nodes == {self.hierarchy.root.label}
-
-    def generalization_level(self, node: str) -> int:
-        return self.hierarchy.level(node)
 
     # -- transformation -------------------------------------------------------
     def generalize_node(self, node: str) -> str:
@@ -75,18 +125,22 @@ class ItemCut:
         Promoting the whole sibling group keeps the cut a partition of the
         item universe, which the k^m-anonymity check relies on.
         """
+        return self._promote(node)[0]
+
+    def _promote(self, node: str) -> tuple[str, list[tuple[str, str]]]:
+        """Promote like :meth:`generalize_node`; also return ``(item, old node)`` moves."""
         parent = self.hierarchy.parent(node)
         if parent is None:
-            return node
-        parent_leaves = self._node_leaves.get(parent)
-        if parent_leaves is None:
-            parent_leaves = frozenset(self.hierarchy.leaves(parent))
-            self._node_leaves[parent] = parent_leaves
-        for item in self.items:
-            if item in parent_leaves:
-                self.mapping[item] = parent
+            return node, []
+        mapping = self.mapping
+        moved = []
+        for item in _tables(self.hierarchy).leaves[parent]:
+            current = mapping.get(item)
+            if current is not None and current != parent:
+                moved.append((item, current))
+                mapping[item] = parent
         self.version += 1
-        return parent
+        return parent, moved
 
     def copy(self) -> "ItemCut":
         clone = ItemCut.__new__(ItemCut)
@@ -94,51 +148,29 @@ class ItemCut:
         clone.items = list(self.items)
         clone.mapping = dict(self.mapping)
         clone.version = self.version
-        # The leaf memo is pure (the hierarchy is immutable), so copies share it.
-        clone._node_leaves = self._node_leaves
         return clone
 
 
 class KmAnonymityChecker:
-    """Finds combinations of at most ``m`` cut nodes with support below ``k``."""
+    """Finds combinations of at most ``m`` cut nodes with support below ``k``.
+
+    Counts combinations transaction by transaction; this is the reference
+    :func:`greedy_km_anonymize` is tested against, not a search path.
+    """
 
     def __init__(self, itemsets: Sequence[frozenset], k: int, m: int):
-        if k < 2:
-            raise AlgorithmError("k must be at least 2")
-        if m < 1:
-            raise AlgorithmError("m must be at least 1")
+        _check_parameters(k, m)
         self.itemsets = list(itemsets)
         self.k = k
         self.m = m
-        #: single-slot cache of the generalized itemsets for the last cut seen
-        self._generalized_cut: "weakref.ref[ItemCut] | None" = None
-        self._generalized_version = -1
-        self._generalized: list[list[str]] = []
-
-    def _generalized_itemsets(self, cut: ItemCut) -> list[list[str]]:
-        """Every itemset mapped through the cut (cached per cut version).
-
-        The checker is asked for violations of sizes 1..m against the same
-        cut; generalizing the transactions once per cut version instead of
-        once per size removes the dominant posting-union loop.
-        """
-        cached = self._generalized_cut() if self._generalized_cut is not None else None
-        if cached is not cut or self._generalized_version != cut.version:
-            self._generalized = [
-                sorted(cut.generalize_itemset(itemset)) for itemset in self.itemsets
-            ]
-            self._generalized_cut = weakref.ref(cut)
-            self._generalized_version = cut.version
-        return self._generalized
 
     def combination_supports(
         self, cut: ItemCut, size: int
     ) -> dict[tuple[str, ...], int]:
         """Support of every node combination of exactly ``size`` that occurs."""
         supports: dict[tuple[str, ...], int] = {}
-        for generalized in self._generalized_itemsets(cut):
-            if len(generalized) < size:
-                continue
+        for itemset in self.itemsets:
+            generalized = sorted(cut.generalize_itemset(itemset))
             for combination in itertools.combinations(generalized, size):
                 supports[combination] = supports.get(combination, 0) + 1
         return supports
@@ -164,70 +196,202 @@ class KmAnonymityChecker:
         return not self.all_violations(cut)
 
 
+def _check_parameters(k: int, m: int) -> None:
+    if k < 2:
+        raise AlgorithmError("k must be at least 2")
+    if m < 1:
+        raise AlgorithmError("m must be at least 1")
+
+
+class _CutSearch:
+    """Violation bookkeeping of one cut over one call's rows.
+
+    ``members`` groups every item of the cut by its cut node and ``postings``
+    holds the row bitset of each cut node that occurs in some row.
+    ``singles`` and ``pairs`` hold the violating nodes and node pairs with
+    their supports; ``pairs`` is built when the search reaches size 2 and is
+    keyed in label order, like ``itertools.combinations`` of sorted labels.
+    """
+
+    def __init__(
+        self, cut: ItemCut, itemsets: Sequence[frozenset], item_postings: dict[str, int], k: int
+    ):
+        self.cut = cut
+        self.itemsets = itemsets
+        self.item_postings = item_postings
+        self.k = k
+        self.tables = _tables(cut.hierarchy)
+        self.members: dict[str, set[str]] = {}
+        for item, node in cut.mapping.items():
+            self.members.setdefault(node, set()).add(item)
+        self.postings: dict[str, int] = {}
+        self.singles: dict[str, int] = {}
+        for node in self.members:
+            self._recount(node)
+        self.pairs: dict[tuple[str, str], int] | None = None
+
+    def _recount(self, node: str) -> None:
+        posting = 0
+        for item in self.members[node]:
+            posting |= self.item_postings.get(item, 0)
+        self.singles.pop(node, None)
+        if posting:
+            self.postings[node] = posting
+            support = posting.bit_count()
+            if support < self.k:
+                self.singles[node] = support
+        else:
+            self.postings.pop(node, None)
+
+    def _pair_violations(
+        self, pairs: dict[tuple[str, str], int], node: str, others: Iterable[str]
+    ) -> None:
+        """Record in ``pairs`` the violating pairs of ``node`` with each of ``others``."""
+        posting = self.postings[node]
+        postings = self.postings
+        k = self.k
+        for other in others:
+            support = (posting & postings[other]).bit_count()
+            if 0 < support < k:
+                pairs[(node, other) if node < other else (other, node)] = support
+
+    def fully_generalized(self) -> bool:
+        return len(self.members) == 1 and self.tables.root in self.members
+
+    def violations(self, size: int) -> dict[tuple[str, ...], int]:
+        """Combinations of ``size`` cut nodes with support in (0, k)."""
+        if size == 1:
+            return {(node,): support for node, support in self.singles.items()}
+        if size == 2:
+            if self.pairs is None:
+                self.pairs = {}
+                nodes = list(self.postings)
+                for position, node in enumerate(nodes):
+                    self._pair_violations(self.pairs, node, nodes[position + 1 :])
+            return self.pairs
+        mapping = self.cut.mapping
+        occurring: set[tuple[str, ...]] = set()
+        for itemset in self.itemsets:
+            generalized = sorted({mapping[str(item)] for item in itemset})
+            occurring.update(itertools.combinations(generalized, size))
+        result: dict[tuple[str, ...], int] = {}
+        for combination in occurring:
+            posting = self.postings[combination[0]]
+            for node in combination[1:]:
+                posting &= self.postings[node]
+            support = posting.bit_count()
+            if support < self.k:
+                result[combination] = support
+        return result
+
+    def target(self, size: int) -> str | None:
+        """The next node to promote for ``size``, or ``None`` if no violation can be fixed.
+
+        The node in the most violations wins; ties go to the most specific
+        node, then to the largest label.
+        """
+        parent, rank = self.tables.parent, self.tables.rank
+        if size == 1:  # every violating node scores 1
+            promotable = [node for node in self.singles if parent[node] is not None]
+            return max(promotable, key=rank.__getitem__) if promotable else None
+        scores: dict[str, int] = {}
+        for combination in self.violations(size):
+            for node in combination:
+                scores[node] = scores.get(node, 0) + 1
+        promotable_scores = {
+            node: score for node, score in scores.items() if parent[node] is not None
+        }
+        if not promotable_scores:
+            return None
+        best = max(promotable_scores.values())
+        return max(
+            (node for node, score in promotable_scores.items() if score == best),
+            key=rank.__getitem__,
+        )
+
+    def promote(self, node: str) -> None:
+        """Promote ``node``'s sibling group; recount only the nodes it changed."""
+        parent, moved = self.cut._promote(node)
+        members, postings = self.members, self.postings
+        changed = {parent}
+        for item, old in moved:
+            members[old].discard(item)
+            changed.add(old)
+        members.setdefault(parent, set()).update(item for item, _ in moved)
+        for changed_node in changed:
+            self._recount(changed_node)
+            if not members[changed_node]:  # the node left the cut
+                del members[changed_node]
+        if self.pairs is None:
+            return
+        pairs = {
+            pair: support
+            for pair, support in self.pairs.items()
+            if pair[0] not in changed and pair[1] not in changed
+        }
+        recounted: set[str] = set()
+        for changed_node in changed:
+            if changed_node in postings:
+                recounted.add(changed_node)
+                self._pair_violations(
+                    pairs, changed_node, [other for other in postings if other not in recounted]
+                )
+        self.pairs = pairs
+
+
 def greedy_km_anonymize(
     itemsets: Sequence[frozenset],
     hierarchy: Hierarchy,
     k: int,
     m: int,
     cut: ItemCut | None = None,
-    apriori_order: bool = True,
 ) -> tuple[ItemCut, dict]:
     """Greedy full-subtree generalization until k^m-anonymity holds.
 
-    Violating combinations are collected (by increasing size when
-    ``apriori_order`` is set, mirroring the Apriori algorithm's candidate
-    generation) and the cut node participating in the most violations is
-    promoted to its parent, until no violation remains.  Returns the final cut
-    and statistics about the search.
+    Violating combinations are collected by increasing size, mirroring the
+    Apriori algorithm's candidate generation, and the cut node participating
+    in the most violations is promoted to its parent, until no violation
+    remains.  A passed-in ``cut`` is extended in place and must cover every
+    item of ``itemsets``.  Returns the final cut and statistics about the
+    search.
 
     If the transactions cannot be protected even by generalizing everything to
     the hierarchy root (fewer than ``k`` non-empty transactions), the cut is
     returned fully generalized and the caller decides whether to suppress.
     """
-    universe: set[str] = set()
+    _check_parameters(k, m)
+    item_postings: dict[str, int] = {}
+    bit = 1
     for itemset in itemsets:
-        universe.update(str(item) for item in itemset)
+        for item in itemset:
+            item = str(item)
+            item_postings[item] = item_postings.get(item, 0) | bit
+        bit <<= 1
     if cut is None:
-        cut = ItemCut(hierarchy, universe)
-    checker = KmAnonymityChecker(itemsets, k, m)
+        cut = ItemCut(hierarchy, item_postings)
+    else:
+        missing = sorted(item for item in item_postings if item not in cut.mapping)
+        if missing:
+            raise AlgorithmError(f"items {missing[:5]} are not covered by the item cut")
+    search = _CutSearch(cut, itemsets, item_postings, k)
 
     generalization_steps = 0
-    sizes = range(1, m + 1) if apriori_order else [None]
-    for size in sizes:
-        while True:
-            if size is None:
-                violations = checker.all_violations(cut)
-            else:
-                violations = checker.violations(cut, size)
-            if not violations or cut.is_fully_generalized():
+    for size in range(1, m + 1):
+        while not search.fully_generalized():
+            target = search.target(size)
+            if target is None:
+                # No violation left, or every violating node is already the
+                # hierarchy root (too few non-empty transactions).
                 break
-            # Promote the node involved in the largest number of violations;
-            # prefer the most specific node on ties (cheapest promotion).
-            node_scores: dict[str, int] = {}
-            for combination in violations:
-                for node in combination:
-                    node_scores[node] = node_scores.get(node, 0) + 1
-            promotable = {
-                node: score
-                for node, score in node_scores.items()
-                if cut.hierarchy.parent(node) is not None
-            }
-            if not promotable:
-                # Every violating node is already the hierarchy root; no
-                # generalization can help (too few non-empty transactions).
-                break
-            target = max(
-                promotable,
-                key=lambda node: (promotable[node], -cut.generalization_level(node), node),
-            )
-            cut.generalize_node(target)
+            search.promote(target)
             generalization_steps += 1
 
-    remaining = checker.all_violations(cut)
     statistics = {
         "generalization_steps": generalization_steps,
-        "final_nodes": len(cut.nodes),
-        "fully_generalized": cut.is_fully_generalized(),
-        "unresolvable_violations": len(remaining),
+        "final_nodes": len(search.members),
+        "fully_generalized": search.fully_generalized(),
+        "unresolvable_violations": sum(
+            len(search.violations(size)) for size in range(1, m + 1)
+        ),
     }
     return cut, statistics

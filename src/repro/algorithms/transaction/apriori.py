@@ -16,7 +16,7 @@ reported in the result statistics.
 from __future__ import annotations
 
 from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
-from repro.algorithms.transaction._itemcut import ItemCut, greedy_km_anonymize
+from repro.algorithms.transaction._itemcut import greedy_km_anonymize
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
 from repro.hierarchy.builders import build_item_hierarchy
@@ -69,9 +69,7 @@ class AprioriAnonymizer(Anonymizer):
         itemsets = [record[attribute] for record in dataset]
 
         with timer.phase("apriori search"):
-            cut, search_statistics = greedy_km_anonymize(
-                itemsets, hierarchy, self.k, self.m, apriori_order=True
-            )
+            cut, search_statistics = greedy_km_anonymize(itemsets, hierarchy, self.k, self.m)
 
         suppressed_everything = False
         with timer.phase("apply"):
@@ -80,9 +78,7 @@ class AprioriAnonymizer(Anonymizer):
                 anonymized.map_column(attribute, lambda _items: [])
                 suppressed_everything = True
             else:
-                anonymized.map_column(
-                    attribute, lambda items: sorted(cut.generalize_itemset(items))
-                )
+                anonymized.map_column(attribute, cut.generalization_map(itemsets).__getitem__)
 
         statistics = {
             **search_statistics,

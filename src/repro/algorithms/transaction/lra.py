@@ -59,10 +59,13 @@ class LraAnonymizer(Anonymizer):
             "partition_size": self.partition_size,
         }
 
+    def _partition_size_target(self) -> int:
+        """Records per partition: the configured size (or default), at least ``k``."""
+        return max(self.partition_size or max(8 * self.k, 100), self.k)
+
     def _partition(self, dataset: Dataset, attribute: str) -> list[list[int]]:
         """Group records into similarity-sorted partitions of bounded size."""
-        size = self.partition_size or max(8 * self.k, 100)
-        size = max(size, self.k)
+        size = self._partition_size_target()
         # Sort records by their sorted itemsets so that neighbouring records
         # share items (the "horizontal partitioning" of the paper).
         order = sorted(
@@ -89,30 +92,28 @@ class LraAnonymizer(Anonymizer):
             partitions = self._partition(dataset, attribute)
 
         anonymized = dataset.copy(name=f"{dataset.name}[lra]")
+        original = dataset.column(attribute)
+        column = list(original)
         generalization_steps = 0
         suppressed_partitions = 0
         with timer.phase("local recoding"):
             for partition in partitions:
-                itemsets = [dataset[index][attribute] for index in partition]
-                cut, statistics = greedy_km_anonymize(
-                    itemsets, hierarchy, self.k, self.m, apriori_order=True
-                )
+                itemsets = [original[index] for index in partition]
+                cut, statistics = greedy_km_anonymize(itemsets, hierarchy, self.k, self.m)
                 generalization_steps += statistics["generalization_steps"]
                 if statistics["unresolvable_violations"]:
                     suppressed_partitions += 1
                     for index in partition:
-                        anonymized.set_value(index, attribute, [])
+                        column[index] = frozenset()
                     continue
+                images = cut.generalization_map(itemsets)
                 for index in partition:
-                    anonymized.set_value(
-                        index,
-                        attribute,
-                        sorted(cut.generalize_itemset(dataset[index][attribute])),
-                    )
+                    column[index] = images[original[index]]
+            anonymized.set_column(attribute, column)
 
         statistics = {
             "partitions": len(partitions),
-            "partition_size_target": self.partition_size or max(8 * self.k, 100),
+            "partition_size_target": self._partition_size_target(),
             "generalization_steps": generalization_steps,
             "suppressed_partitions": suppressed_partitions,
             "utility_loss": utility_loss(

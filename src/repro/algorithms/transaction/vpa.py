@@ -92,13 +92,13 @@ class VpaAnonymizer(Anonymizer):
                     for itemset in itemsets
                 ]
                 cut, statistics = greedy_km_anonymize(
-                    projections, hierarchy, self.k, self.m, cut=cut, apriori_order=True
+                    projections, hierarchy, self.k, self.m, cut=cut
                 )
                 part_steps += statistics["generalization_steps"]
 
         with timer.phase("global repair"):
             cut, repair_statistics = greedy_km_anonymize(
-                itemsets, hierarchy, self.k, self.m, cut=cut, apriori_order=True
+                itemsets, hierarchy, self.k, self.m, cut=cut
             )
 
         suppressed_everything = False
@@ -108,9 +108,7 @@ class VpaAnonymizer(Anonymizer):
                 anonymized.map_column(attribute, lambda _items: [])
                 suppressed_everything = True
             else:
-                anonymized.map_column(
-                    attribute, lambda items: sorted(cut.generalize_itemset(items))
-                )
+                anonymized.map_column(attribute, cut.generalization_map(itemsets).__getitem__)
 
         statistics = {
             "parts": len(parts),

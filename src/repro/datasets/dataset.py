@@ -430,6 +430,19 @@ class Dataset:
         self._columnar.pop(name, None)
         self._version += 1
 
+    def set_column(self, name: str, values: Sequence[Any]) -> None:
+        """Set attribute ``name`` of every record, in record order."""
+        self._require_attribute(name)
+        if len(values) != len(self._records):
+            raise DatasetError(
+                f"got {len(values)} values for {len(self._records)} records"
+            )
+        attribute = self._schema[name]
+        for record, value in zip(self._records, values):
+            record._set(name, _normalise_cell(attribute, value))
+        self._columnar.pop(name, None)
+        self._version += 1
+
     def add_attribute(
         self,
         attribute: Attribute,

@@ -1,7 +1,10 @@
 """Tests for the shared item-cut machinery of the hierarchy-based algorithms."""
 
+import gc
+
 import pytest
 
+from repro.algorithms.transaction import _itemcut
 from repro.algorithms.transaction._itemcut import (
     ItemCut,
     KmAnonymityChecker,
@@ -123,3 +126,32 @@ class TestGreedy:
         itemsets = [frozenset({"i0"})]  # a single non-empty transaction, k=2
         cut, statistics = greedy_km_anonymize(itemsets, hierarchy, k=2, m=1)
         assert statistics["unresolvable_violations"] > 0
+
+    def test_passed_cut_must_cover_every_item(self, hierarchy, itemsets):
+        cut = ItemCut(hierarchy, ["i0", "i1", "i2"])
+        with pytest.raises(AlgorithmError, match=r"i3.*i4.*not covered by the item cut"):
+            greedy_km_anonymize(itemsets, hierarchy, k=2, m=2, cut=cut)
+
+    def test_passed_cut_is_extended_in_place(self, hierarchy, itemsets):
+        cut = ItemCut(hierarchy, [f"i{n}" for n in range(8)])
+        result, statistics = greedy_km_anonymize(itemsets, hierarchy, k=2, m=2, cut=cut)
+        assert result is cut
+        assert cut.version == statistics["generalization_steps"] > 0
+
+    def test_generalization_map_covers_each_distinct_itemset(self, hierarchy, itemsets):
+        cut = ItemCut(hierarchy, [f"i{n}" for n in range(8)])
+        cut.generalize_node("i0")
+        images = cut.generalization_map(itemsets + itemsets)
+        assert set(images) == set(itemsets)
+        assert all(images[itemset] == cut.generalize_itemset(itemset) for itemset in itemsets)
+
+    def test_hierarchy_tables_are_memoized_without_keeping_the_hierarchy(self, itemsets):
+        hierarchy = build_item_hierarchy([f"i{n}" for n in range(8)], fanout=2)
+        greedy_km_anonymize(itemsets, hierarchy, k=2, m=2)
+        tables = _itemcut._TABLES[hierarchy]
+        greedy_km_anonymize(itemsets, hierarchy, k=3, m=1)
+        assert _itemcut._TABLES[hierarchy] is tables
+        entries = len(_itemcut._TABLES)
+        del hierarchy
+        gc.collect()
+        assert len(_itemcut._TABLES) == entries - 1

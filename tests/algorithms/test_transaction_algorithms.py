@@ -83,6 +83,15 @@ class TestHierarchyBasedAlgorithms:
             <= global_result.statistics["utility_loss"] + 0.25
         )
 
+    def test_lra_reports_the_effective_partition_size(self, baskets, item_hierarchy):
+        # A configured size below k is raised to k; the statistic must say so.
+        small = LraAnonymizer(k=6, m=2, hierarchy=item_hierarchy, partition_size=4)
+        result = small.anonymize(baskets)
+        assert result.statistics["partition_size_target"] == 6
+        assert result.statistics["partitions"] == len(baskets) // 6
+        default = LraAnonymizer(k=6, m=2, hierarchy=item_hierarchy).anonymize(baskets)
+        assert default.statistics["partition_size_target"] == 100
+
     def test_vpa_respects_parts_parameter(self, baskets, item_hierarchy):
         result = VpaAnonymizer(k=3, m=2, hierarchy=item_hierarchy, n_parts=4).anonymize(baskets)
         assert result.statistics["parts"] == 4

@@ -139,6 +139,20 @@ class TestMutation:
         dataset.map_column("Age", lambda v: v + 1)
         assert dataset.column("Age") == [26, 31, 26]
 
+    def test_set_column_normalises_every_cell(self, dataset):
+        universe = dataset.item_universe("Items")  # fills the columnar cache
+        dataset.set_column("Items", [["x"], [], ("y", "x")])
+        assert dataset.column("Items") == [
+            frozenset({"x"}), frozenset(), frozenset({"x", "y"})
+        ]
+        assert dataset.item_universe("Items") == {"x", "y"} != universe
+
+    def test_set_column_length_mismatch(self, dataset):
+        with pytest.raises(DatasetError):
+            dataset.set_column("Age", [1, 2])
+        with pytest.raises(SchemaError):
+            dataset.set_column("Nope", [1, 2, 3])
+
 
 class TestTransformation:
     def test_copy_is_deep_for_records(self, dataset):

@@ -87,6 +87,7 @@ class TestVersionCounter:
             lambda d: d.add_attribute(Attribute.categorical("Zip"), default="z"),
             lambda d: d.rename_attribute("Zip", "Postal"),
             lambda d: d.map_column("Age", lambda v: v + 1),
+            lambda d: d.set_column("Age", list(range(len(d)))),
             lambda d: d.remove_attribute("Postal"),
         ]
         for mutate in mutations:
