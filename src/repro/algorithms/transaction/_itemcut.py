@@ -93,6 +93,14 @@ class ItemCut:
             raise AlgorithmError(
                 f"items {missing[:5]} are not covered by the item hierarchy"
             )
+        # A cut partitions the hierarchy's leaves; an internal label as an
+        # item would make promotions miss it, and the search never ends.
+        internal = [item for item in self.items if not hierarchy.is_leaf(item)]
+        if internal:
+            raise AlgorithmError(
+                f"items {internal[:5]} are internal nodes of the item "
+                f"hierarchy, not leaves"
+            )
         #: original item -> current cut node label
         self.mapping: dict[str, str] = {item: item for item in self.items}
         #: incremented on every mutation

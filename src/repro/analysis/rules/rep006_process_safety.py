@@ -5,7 +5,7 @@ process boundary is pickled.  The manifest's ``spec_classes`` are the
 dataclasses shipped inside task tuples; this rule bans fields whose types
 can never pickle (locks, shared-memory handles, open files, executors) and
 lambda defaults.  It also checks the worker argument of the pool entry
-points (``run_many``/``fan_out_shared``/``pool.map``): lambdas and local
+points (``run_many``/``fan_out``/``pool.map``): lambdas and local
 functions fail at fan-out time with an opaque pickling error, so the rule
 surfaces them at lint time instead.
 """
@@ -84,7 +84,7 @@ class ProcessSafety(Rule):
         "declare fields typed as locks, threads, SharedMemory handles, open "
         "files, executors or pools — those either fail to pickle or, worse, "
         "pickle into a disconnected copy.  Lambda field defaults and lambda/"
-        "local-function workers passed to run_many/fan_out_shared/pool.map "
+        "local-function workers passed to run_many/fan_out/pool.map "
         "fail at fan-out time with an opaque PicklingError; this rule moves "
         "that failure to lint time.  Worker names are resolved through the "
         "project call graph, so a local function passed by name — or a "

@@ -25,7 +25,7 @@ from repro.engine.experiment import (
     indicator_series,
 )
 from repro.engine.faults import CheckpointFaults, Fault, FaultPlan
-from repro.engine.pool import WorkerPool, fan_out_shared
+from repro.engine.pool import WorkerPool
 from repro.engine.resilience import (
     DEFAULT_POLICY,
     ExecutionPolicy,
@@ -42,7 +42,7 @@ from repro.engine.results import (
     SweepResult,
     merge_series,
 )
-from repro.engine.runner import EXECUTION_MODES, resolve_mode, run_many
+from repro.engine.runner import EXECUTION_MODES, fan_out, resolve_mode, run_many
 
 __all__ = [
     "EXECUTION_MODES",
@@ -67,7 +67,7 @@ __all__ = [
     "merge_series",
     "run_many",
     "WorkerPool",
-    "fan_out_shared",
+    "fan_out",
     "DEFAULT_POLICY",
     "ExecutionPolicy",
     "RunReport",

@@ -711,9 +711,8 @@ def run_checkpointed(
     store: CheckpointStore,
     keys: Sequence[str] | None,
     *,
-    parallel: bool = False,
     max_workers: int | None = None,
-    mode: str | None = None,
+    mode: str = "sequential",
     pool: "WorkerPool | None" = None,
     policy: "ExecutionPolicy | None" = None,
     report: "RunReport | None" = None,
@@ -784,7 +783,6 @@ def run_checkpointed(
         sub_results = run_many(
             [(key, task) for _, key, task in misses],
             _StoringWorker(worker, store),
-            parallel=parallel,
             max_workers=max_workers,
             mode=mode,
             pool=pool,

@@ -12,53 +12,49 @@ Comparisons can fan out across CPU cores: pass ``mode="process"`` and every
 configuration's sweep runs in its own worker process; the dataset is
 exported once to shared memory and each task carries only the picklable
 manifest (pass ``pool`` to reuse workers and the export across comparisons).
-The legacy ``parallel=True`` flag keeps selecting the thread pool.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.columnar.shared import resolve_shared_dataset
 from repro.datasets.dataset import Dataset
-from repro.datasets.domains import DatasetDomains
 from repro.engine.checkpoint import CheckpointStore, configuration_keys
 from repro.engine.config import AnonymizationConfig
-from repro.engine.experiment import ParameterSweep, VaryingParameterExperiment
-from repro.engine.pool import WorkerPool, fan_out_shared
-from repro.engine.resilience import ExecutionPolicy, RunReport
+from repro.engine.experiment import (
+    EvaluationContext,
+    ParameterSweep,
+    VaryingParameterExperiment,
+    private_resources,
+)
+from repro.engine.pool import WorkerPool
+from repro.engine.resilience import ExecutionPolicy
 from repro.engine.resources import ExperimentResources
 from repro.engine.results import ComparisonReport, SweepResult
-from repro.engine.runner import resolve_mode, run_many
+from repro.engine.runner import fan_out
 from repro.exceptions import ConfigurationError
 
 
-def _run_configuration(task: tuple) -> SweepResult:
+def _run_configuration(
+    task: tuple[
+        EvaluationContext,
+        tuple[AnonymizationConfig, ParameterSweep, CheckpointStore | None],
+    ],
+) -> SweepResult:
     """Run one configuration across the sweep (module-level: picklable).
 
-    The dataset slot holds either the dataset itself or a shared-memory
-    manifest (process mode) that the worker attaches without copying arrays.
-    The checkpoint slot carries the (picklable) store into the worker, so a
-    comparison checkpoints at both granularities: whole-configuration cells
-    out here, per-sweep-point cells inside the worker's own experiment.
+    The checkpoint travels inside the task so a comparison checkpoints at
+    both granularities: whole-configuration cells out here, per-sweep-point
+    cells inside the worker's own experiment.
     """
-    (
-        dataset,
-        resources,
-        verify_privacy,
-        universe_mode,
-        simulate_attacks,
-        config,
-        sweep,
-        checkpoint,
-    ) = task
+    context, (config, sweep, checkpoint) = task
     experiment = VaryingParameterExperiment(
-        resolve_shared_dataset(dataset),
-        resources,
-        verify_privacy=verify_privacy,
-        universe_mode=universe_mode,
+        context.attached_dataset(),
+        context.resources,
+        verify_privacy=context.verify_privacy,
+        universe_mode=context.universe_mode,
         checkpoint=checkpoint,
-        simulate_attacks=simulate_attacks,
+        simulate_attacks=context.simulate_attacks,
     )
     return experiment.run(config, sweep)
 
@@ -71,9 +67,8 @@ class MethodComparator:
         dataset: Dataset,
         resources: ExperimentResources | None = None,
         verify_privacy: bool = False,
-        parallel: bool = False,
         max_workers: int | None = None,
-        mode: str | None = None,
+        mode: str = "sequential",
         pool: WorkerPool | None = None,
         universe_mode: str = "original",
         policy: ExecutionPolicy | None = None,
@@ -83,7 +78,6 @@ class MethodComparator:
         self.dataset = dataset
         self.resources = resources or ExperimentResources()
         self.verify_privacy = verify_privacy
-        self.parallel = parallel
         self.max_workers = max_workers
         self.mode = mode
         self.pool = pool
@@ -91,26 +85,6 @@ class MethodComparator:
         self.policy = policy
         self.checkpoint = checkpoint
         self.simulate_attacks = simulate_attacks
-
-    def _tasks(
-        self,
-        payload: object,
-        configurations: Sequence[AnonymizationConfig],
-        sweep: ParameterSweep,
-    ) -> list[tuple]:
-        return [
-            (
-                payload,
-                self.resources,
-                self.verify_privacy,
-                self.universe_mode,
-                self.simulate_attacks,
-                config,
-                sweep,
-                self.checkpoint,
-            )
-            for config in configurations
-        ]
 
     def compare(
         self,
@@ -122,18 +96,20 @@ class MethodComparator:
         if not configurations:
             raise ConfigurationError("the Comparison mode needs at least one configuration")
 
-        if self.resources.domains is None and len(self.dataset):
-            # One snapshot shared by every configuration's sweep (and every
-            # worker process the comparison fans out to).
-            self.resources.domains = DatasetDomains.capture(self.dataset)
-        resolved = resolve_mode(self.parallel, self.mode)
+        context = EvaluationContext(
+            self.dataset,
+            private_resources(self.dataset, self.resources),
+            self.verify_privacy,
+            self.universe_mode,
+            self.simulate_attacks,
+        )
         # Whole-configuration checkpoint keys, derived in the orchestrating
         # process from the real dataset (workers additionally checkpoint
         # their per-sweep-point cells — see ``_run_configuration``).
         keys = (
             configuration_keys(
                 self.dataset,
-                self.resources,
+                context.resources,
                 self.verify_privacy,
                 self.universe_mode,
                 configurations,
@@ -143,35 +119,17 @@ class MethodComparator:
             if self.checkpoint is not None
             else None
         )
-        if resolved == "process" and len(configurations) > 1:
-            report = RunReport()
-            sweeps = fan_out_shared(
-                self.dataset,
-                lambda payload: self._tasks(payload, configurations, sweep),
-                _run_configuration,
-                pool=self.pool,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
-        else:
-            report = (
-                RunReport()
-                if self.policy is not None or self.checkpoint is not None
-                else None
-            )
-            sweeps = run_many(
-                self._tasks(self.dataset, configurations, sweep),
-                _run_configuration,
-                mode=resolved,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
+        sweeps, report = fan_out(
+            context,
+            [(config, sweep, self.checkpoint) for config in configurations],
+            _run_configuration,
+            mode=self.mode,
+            max_workers=self.max_workers,
+            pool=self.pool,
+            policy=self.policy,
+            checkpoint=self.checkpoint,
+            checkpoint_keys=keys,
+        )
         return ComparisonReport(
             parameter=sweep.parameter,
             values=list(sweep.values),

@@ -9,8 +9,7 @@ machinery used by both the Evaluation and the Comparison mode.
 
 Sweeps can fan out across CPU cores: pass ``mode="process"`` to
 :class:`VaryingParameterExperiment` and every sweep point is evaluated in its
-own worker process (the algorithms are CPU-bound pure Python, so threads
-cannot speed them up — see :mod:`repro.engine.runner`).  In process mode the
+own worker process (see :mod:`repro.engine.runner`).  In process mode the
 dataset is not pickled into every task: it is exported once to shared memory
 and the tasks carry only the small manifest
 (:mod:`repro.columnar.shared`); pass a persistent
@@ -20,17 +19,18 @@ across several sweeps.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.columnar.shared import resolve_shared_dataset
+from repro.columnar.shared import SharedDatasetManifest, attach_cached
 from repro.datasets.dataset import Dataset
 from repro.datasets.domains import DatasetDomains
 from repro.engine.checkpoint import CheckpointStore, sweep_point_keys
 from repro.engine.config import SWEEPABLE_PARAMETERS, AnonymizationConfig
 from repro.engine.evaluator import MethodEvaluator
-from repro.engine.pool import WorkerPool, fan_out_shared
-from repro.engine.resilience import ExecutionPolicy, RunReport
+from repro.engine.pool import WorkerPool
+from repro.engine.resilience import ExecutionPolicy
 from repro.engine.resources import ExperimentResources
 from repro.engine.results import (
     ATTACK_INDICATORS,
@@ -38,7 +38,7 @@ from repro.engine.results import (
     Series,
     SweepResult,
 )
-from repro.engine.runner import resolve_mode, run_many
+from repro.engine.runner import fan_out
 from repro.exceptions import ConfigurationError
 
 #: Indicators extracted from every evaluation report into sweep series.
@@ -125,31 +125,61 @@ def indicator_series(
     return series
 
 
-def _evaluate_sweep_point(task: tuple) -> EvaluationReport:
+@dataclass(frozen=True)
+class EvaluationContext:
+    """What every task of one sweep or comparison evaluates against.
+
+    Picklable: it travels inside every task.  ``dataset`` is the dataset
+    itself in this process, or its shared-memory manifest in a worker
+    process (:func:`~repro.engine.runner.fan_out` swaps it in).
+    """
+
+    dataset: Dataset | SharedDatasetManifest
+    resources: ExperimentResources
+    verify_privacy: bool = False
+    universe_mode: str = "original"
+    simulate_attacks: bool = False
+
+    def attached_dataset(self) -> Dataset:
+        """The dataset, attaching the shared export (once per process)."""
+        if isinstance(self.dataset, SharedDatasetManifest):
+            return attach_cached(self.dataset)
+        return self.dataset
+
+
+def private_resources(
+    dataset: Dataset, resources: ExperimentResources
+) -> ExperimentResources:
+    """A run's own copy of ``resources``, with the domain snapshot captured.
+
+    Evaluation fills missing hierarchies and policies in place
+    (:meth:`~repro.engine.resources.ExperimentResources.ensure_for`).  On a
+    private copy those fills never reach resources the caller can see —
+    exactly as process workers only ever touch their pickled copies — so a
+    re-run derives the same checkpoint keys in every execution mode.
+    """
+    private = dataclasses.replace(resources, hierarchies=dict(resources.hierarchies))
+    if private.domains is None and len(dataset):
+        # Captured once so every task (and worker process) shares one
+        # equal snapshot of the original domains.
+        private.domains = DatasetDomains.capture(dataset)
+    return private
+
+
+def _evaluate_sweep_point(
+    task: tuple[EvaluationContext, tuple[AnonymizationConfig, str, Any]],
+) -> EvaluationReport:
     """Evaluate one (configuration, parameter, value) sweep point.
 
-    Module-level so process-mode execution can pickle it; the resources
-    travel inside the task tuple, while the dataset slot holds either the
-    dataset itself (sequential/thread) or a shared-memory manifest that the
-    worker attaches — once per process — without copying array payloads.
+    Module-level so process-mode execution can pickle it.
     """
-    (
-        dataset,
-        resources,
-        verify_privacy,
-        universe_mode,
-        simulate_attacks,
-        config,
-        parameter,
-        value,
-    ) = task
-    dataset = resolve_shared_dataset(dataset)
+    context, (config, parameter, value) = task
     evaluator = MethodEvaluator(
-        dataset,
-        resources,
-        verify_privacy=verify_privacy,
-        universe_mode=universe_mode,
-        simulate_attacks=simulate_attacks,
+        context.attached_dataset(),
+        context.resources,
+        verify_privacy=context.verify_privacy,
+        universe_mode=context.universe_mode,
+        simulate_attacks=context.simulate_attacks,
     )
     return evaluator.evaluate(config.with_parameter(parameter, value))
 
@@ -157,9 +187,9 @@ def _evaluate_sweep_point(task: tuple) -> EvaluationReport:
 class VaryingParameterExperiment:
     """Run one configuration across a parameter sweep and collect series.
 
-    ``mode`` selects how sweep points execute: ``"sequential"`` (default),
-    ``"thread"``, or ``"process"`` to fan the CPU-bound anonymization runs out
-    across cores.  ``max_workers`` caps the pool size.  In process mode the
+    ``mode`` selects how sweep points execute: ``"sequential"`` (default)
+    or ``"process"`` to fan the CPU-bound anonymization runs out across
+    cores.  ``max_workers`` caps the pool size.  In process mode the
     dataset ships to workers as a shared-memory manifest; pass ``pool`` (a
     :class:`~repro.engine.pool.WorkerPool`) to keep the workers and the
     export alive across several ``run`` calls instead of rebuilding them per
@@ -196,29 +226,14 @@ class VaryingParameterExperiment:
         self.checkpoint = checkpoint
         self.simulate_attacks = simulate_attacks
 
-    def _tasks(
-        self, payload: object, config: AnonymizationConfig, sweep: ParameterSweep
-    ) -> list[tuple]:
-        return [
-            (
-                payload,
-                self.resources,
-                self.verify_privacy,
-                self.universe_mode,
-                self.simulate_attacks,
-                config,
-                sweep.parameter,
-                value,
-            )
-            for value in sweep.values
-        ]
-
     def run(self, config: AnonymizationConfig, sweep: ParameterSweep) -> SweepResult:
-        if self.resources.domains is None and len(self.dataset):
-            # Capture the original-domain snapshot once in the parent so every
-            # sweep point (and worker process) shares one equal snapshot.
-            self.resources.domains = DatasetDomains.capture(self.dataset)
-        resolved = resolve_mode(mode=self.mode)
+        context = EvaluationContext(
+            self.dataset,
+            private_resources(self.dataset, self.resources),
+            self.verify_privacy,
+            self.universe_mode,
+            self.simulate_attacks,
+        )
         # Checkpoint keys are derived here, in the orchestrating process and
         # *after* the domain snapshot above, from the real dataset — so a
         # resumed run (which captures the identical snapshot) computes the
@@ -226,7 +241,7 @@ class VaryingParameterExperiment:
         keys = (
             sweep_point_keys(
                 self.dataset,
-                self.resources,
+                context.resources,
                 self.verify_privacy,
                 self.universe_mode,
                 config,
@@ -236,35 +251,17 @@ class VaryingParameterExperiment:
             if self.checkpoint is not None
             else None
         )
-        if resolved == "process" and len(sweep) > 1:
-            report = RunReport()
-            reports = fan_out_shared(
-                self.dataset,
-                lambda payload: self._tasks(payload, config, sweep),
-                _evaluate_sweep_point,
-                pool=self.pool,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
-        else:
-            report = (
-                RunReport()
-                if self.policy is not None or self.checkpoint is not None
-                else None
-            )
-            reports = run_many(
-                self._tasks(self.dataset, config, sweep),
-                _evaluate_sweep_point,
-                mode=resolved,
-                max_workers=self.max_workers,
-                policy=self.policy,
-                report=report,
-                checkpoint=self.checkpoint,
-                checkpoint_keys=keys,
-            )
+        reports, report = fan_out(
+            context,
+            [(config, sweep.parameter, value) for value in sweep.values],
+            _evaluate_sweep_point,
+            mode=self.mode,
+            max_workers=self.max_workers,
+            pool=self.pool,
+            policy=self.policy,
+            checkpoint=self.checkpoint,
+            checkpoint_keys=keys,
+        )
         series = indicator_series(
             reports, list(sweep.values), sweep.parameter, config.display_label
         )

@@ -14,7 +14,7 @@ A plan is a pure function of its coordinates — no global state, no
 randomness — so a faulted run is exactly reproducible.  Hard faults
 (``crash``, ``exit137``, ``hang``) only fire inside a genuine worker
 process (the plan remembers the orchestrating process's pid): when a task
-has been degraded to the thread or sequential rung of the ladder, the same
+has been degraded to the sequential rung of the ladder, the same
 plan lets it through, modelling a task that kills *worker processes* but is
 otherwise computable.  Soft faults (``error``, ``corrupt``) fire on every
 backend.

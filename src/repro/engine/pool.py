@@ -18,7 +18,7 @@ per call in two ways:
 Since PR 7 the pool is also the engine's :class:`~repro.engine.resilience`
 process backend: :meth:`map` submits per-task futures under an
 :class:`~repro.engine.resilience.ExecutionPolicy` (bounded retries, task
-timeouts, a ``process → thread → sequential`` degradation ladder), and
+timeouts, a ``process → sequential`` degradation ladder), and
 :meth:`respawn` is the crash-recovery hook — it replaces a broken executor,
 terminates hung workers, re-exports any shared segment a crashed worker
 generation's resource tracker destroyed, and hands back a task remapper so
@@ -34,6 +34,7 @@ leaving the context manager) unlinks everything the pool still owns.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 import pickle
@@ -48,7 +49,6 @@ from repro.exceptions import ConfigurationError, SecretaError
 
 if TYPE_CHECKING:
     from repro.datasets.dataset import Dataset
-    from repro.engine.checkpoint import CheckpointStore
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
@@ -98,15 +98,20 @@ def _evict_export(
 def _remap_task(mapping: dict[str, SharedDatasetManifest], task: Any) -> Any:
     """Swap stale shared-dataset manifests inside a task payload.
 
-    Tasks are either a manifest, a tuple carrying one, or plain values; the
-    remapper rewrites exactly the manifest slots whose segment went stale
-    and leaves everything else identical — replayed tasks must stay
+    Tasks are either a manifest, a tuple carrying one, a dataclass whose
+    ``dataset`` field holds one (the engine's
+    :class:`~repro.engine.experiment.EvaluationContext`), or plain values;
+    the remapper rewrites exactly the manifest slots whose segment went
+    stale and leaves everything else identical — replayed tasks must stay
     byte-for-byte equivalent apart from the new segment name.
     """
     if isinstance(task, SharedDatasetManifest):
         return mapping.get(task.segment, task)
     if isinstance(task, tuple):
         return tuple(_remap_task(mapping, element) for element in task)
+    dataset = getattr(task, "dataset", None)
+    if isinstance(dataset, SharedDatasetManifest):
+        return dataclasses.replace(task, dataset=mapping.get(dataset.segment, dataset))
     return task
 
 
@@ -199,7 +204,7 @@ class WorkerPool:
         self._exports[key] = (weakref.ref(dataset), export, finalizer)
         return export.manifest
 
-    # -- the resilience engine's ProcessControl hooks ------------------------
+    # -- the resilience engine's crash-recovery hooks ------------------------
     def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
         """Submit one call to the pool's executor (spawned lazily)."""
         self._require_open()
@@ -282,8 +287,8 @@ class WorkerPool:
         Each task is submitted as its own future and executed under
         ``policy`` (the pool's default when omitted): bounded retries with
         deterministic backoff, optional per-task timeouts, executor respawn
-        on crashes, and degradation to thread/sequential execution for tasks
-        that repeatedly kill their workers.  ``report``, when given, is
+        on crashes, and degradation to sequential execution for tasks that
+        repeatedly kill their workers.  ``report``, when given, is
         filled in place with the full per-task attempt history.
         """
         self._require_open()
@@ -295,9 +300,7 @@ class WorkerPool:
             tasks,
             worker,
             policy or self._policy,
-            backend="process",
-            process_control=self,
-            max_workers=self._max_workers,
+            pool=self,
             report=report,
         )
 
@@ -334,56 +337,3 @@ class WorkerPool:
             f"exports={len(self._exports)}, {state})"
         )
 
-
-def fan_out_shared(
-    dataset: "Dataset",
-    make_tasks: Callable[[Any], Sequence[Any]],
-    worker: Callable[..., Any],
-    pool: WorkerPool | None = None,
-    max_workers: int | None = None,
-    policy: ExecutionPolicy | None = None,
-    report: RunReport | None = None,
-    checkpoint: "CheckpointStore | None" = None,
-    checkpoint_keys: Sequence[str] | None = None,
-) -> list[Any]:
-    """Run ``worker`` over ``make_tasks(manifest)`` with a shared dataset.
-
-    The one orchestration pattern the experiment and comparator both need:
-    export ``dataset`` to shared memory, build the tasks around the manifest,
-    and fan them out — on the caller's persistent ``pool`` when given (the
-    export is cached there), otherwise on an ephemeral pool sized to the
-    task count and torn down (segments unlinked) before returning.  The
-    fan-out runs under ``policy`` (the pool's default when omitted) and
-    fills ``report`` in place when one is given.
-    """
-    from repro.engine.runner import run_many
-
-    validate_max_workers(max_workers)
-    if pool is not None:
-        return run_many(
-            make_tasks(pool.share(dataset)),
-            worker,
-            mode="process",
-            pool=pool,
-            policy=policy,
-            report=report,
-            checkpoint=checkpoint,
-            checkpoint_keys=checkpoint_keys,
-        )
-    # The ephemeral pool (rather than a bare export) owns the segment so the
-    # crash-recovery path can re-export it; its executor is spawned lazily,
-    # which leaves room to right-size the pool once the task count is known.
-    with WorkerPool(max_workers=max_workers, policy=policy) as ephemeral:
-        tasks = make_tasks(ephemeral.share(dataset))
-        if max_workers is None:
-            ephemeral._max_workers = min(len(tasks) or 1, os.cpu_count() or 1)
-        return run_many(
-            tasks,
-            worker,
-            mode="process",
-            pool=ephemeral,
-            policy=policy,
-            report=report,
-            checkpoint=checkpoint,
-            checkpoint_keys=checkpoint_keys,
-        )

@@ -9,12 +9,11 @@ COAT/PCTA/clustering sweeps run under instead:
   failure is one task's problem and every other result survives;
 * :class:`ExecutionPolicy` — bounded retries with exponential backoff and
   deterministic jitter, a per-task timeout, and a degradation ladder
-  (``process → thread → sequential``) for tasks that repeatedly kill their
-  workers;
+  (``process → sequential``) for tasks that repeatedly kill their workers;
 * **crash recovery** — a ``BrokenProcessPool`` (worker crash, SIGKILL, OOM)
-  or a task timeout respawns the executor through the
-  :class:`ProcessControl` hook, re-exports any shared-memory segment that
-  went stale, and replays only the unfinished tasks;
+  or a task timeout respawns the executor through the pool's ``respawn``
+  hook, re-exports any shared-memory segment that went stale, and replays
+  only the unfinished tasks;
 * :class:`RunReport` — the structured account of what actually happened:
   per-task attempts with durations and error chains, executor respawns,
   ladder degradations and the backend each task finally completed on.
@@ -39,17 +38,20 @@ import hashlib
 import json
 import pickle
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.engine.faults import Corrupted, FaultPlan, faulted_call
 from repro.exceptions import ConfigurationError, TaskError
 
+if TYPE_CHECKING:
+    from repro.engine.pool import WorkerPool
+
 #: The degradation ladder's rungs, strongest isolation first.
-BACKENDS = ("process", "thread", "sequential")
+BACKENDS = ("process", "sequential")
 
 #: Outcomes that indict the worker process rather than the task's own code.
 HARD_OUTCOMES = frozenset({"crash", "timeout"})
@@ -337,49 +339,6 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
-# -- backend controls --------------------------------------------------------
-class ProcessControl(Protocol):
-    """What the engine needs from a process pool: submission and rebirth."""
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        """Submit one call to the pool's current executor."""
-
-    def respawn(self, reason: str) -> Callable[[Any], Any] | None:
-        """Tear the executor down (reclaiming crashed/hung workers), respawn
-        it lazily, and return a task remapper that swaps re-exported
-        shared-memory manifests into unfinished task payloads (or ``None``
-        when nothing went stale)."""
-
-
-class _ThreadControl:
-    """Thread-rung control: an abandonable single-use thread pool.
-
-    A hung thread cannot be killed, so ``respawn`` abandons the executor
-    (non-blocking shutdown) and lazily builds a fresh one; the leaked thread
-    finishes or idles harmlessly.
-    """
-
-    def __init__(self, max_workers: int) -> None:
-        self._max_workers = max_workers
-        self._executor: ThreadPoolExecutor | None = None
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> "Future[Any]":
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self._max_workers)
-        return self._executor.submit(fn, *args)
-
-    def respawn(self, reason: str) -> Callable[[Any], Any] | None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return None
-
-    def close(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-
 # -- task state --------------------------------------------------------------
 @dataclass
 class _TaskState:
@@ -535,22 +494,18 @@ def execute_tasks(
     worker: Callable[[Any], Any],
     policy: ExecutionPolicy,
     *,
-    backend: str = "sequential",
-    process_control: ProcessControl | None = None,
-    max_workers: int | None = None,
+    pool: "WorkerPool | None" = None,
     report: RunReport | None = None,
 ) -> list[Any]:
     """Run ``worker`` over ``tasks`` under ``policy``, preserving order.
 
-    ``backend`` is the rung execution starts on; tasks that repeatedly kill
-    their workers fall down the policy's ladder toward ``sequential``.
-    Process execution needs a ``process_control`` (the pool's respawn hook).
-    When ``report`` is given it is filled in place — the caller keeps it.
+    Execution starts on ``pool``'s process rung when one is given (its
+    ``submit``/``respawn`` are the crash-recovery hooks), otherwise on the
+    sequential rung; tasks that repeatedly kill their workers fall down the
+    policy's ladder toward ``sequential``.  When ``report`` is given it is
+    filled in place — the caller keeps it.
     """
-    if backend == "process" and process_control is None:
-        raise ConfigurationError(
-            "process execution needs a process_control (a WorkerPool)"
-        )
+    backend = "sequential" if pool is None else "process"
     run_report = report if report is not None else RunReport()
     if not run_report.backend:
         run_report.backend = backend
@@ -571,44 +526,29 @@ def execute_tasks(
             if not rung_states:
                 continue
             has_next = rung_index + 1 < len(rungs)
-            if rung == "sequential":
+            if pool is None or rung == "sequential":
                 _run_sequential_rung(
                     rung_states, worker, policy, run_report, has_next
                 )
-            elif rung == "thread":
-                control = _ThreadControl(
-                    max_workers=max_workers or len(rung_states)
-                )
-                try:
-                    _run_pooled_rung(
-                        rung_states, worker, policy, control, run_report,
-                        "thread", rung_index, has_next,
-                    )
-                finally:
-                    control.close()
             else:
-                if process_control is None:  # pragma: no cover - guarded above
-                    raise ConfigurationError("process rung without a pool")
-                _run_pooled_rung(
-                    rung_states, worker, policy, process_control, run_report,
-                    "process", rung_index, has_next,
+                _run_process_rung(
+                    rung_states, worker, policy, pool, run_report, rung_index, has_next
                 )
     finally:
         run_report.wall_seconds += time.perf_counter() - started_run
     return [state.result for state in states]
 
 
-def _run_pooled_rung(
+def _run_process_rung(
     rung_states: list[_TaskState],
     worker: Callable[[Any], Any],
     policy: ExecutionPolicy,
-    control: ProcessControl,
+    control: "WorkerPool",
     report: RunReport,
-    backend: str,
     rung_index: int,
     has_next_rung: bool,
 ) -> None:
-    """Drive one executor-backed rung to completion (or demotion).
+    """Drive the process rung to completion (or demotion).
 
     A state demoted by :func:`_settle` leaves ``pending`` on the next
     refresh (its ``rung`` no longer matches ``rung_index``) and is picked up
@@ -622,6 +562,7 @@ def _run_pooled_rung(
             if not state.done and state.rung == rung_index
         ]
 
+    backend = "process"
     pending = remaining()
     while pending:
         futures = _submit_round(pending, worker, policy, control, report)
@@ -670,7 +611,7 @@ def _submit_round(
     pending: list[_TaskState],
     worker: Callable[[Any], Any],
     policy: ExecutionPolicy,
-    control: ProcessControl,
+    control: "WorkerPool",
     report: RunReport,
 ) -> list[tuple[_TaskState, "Future[Any]"]]:
     """Submit every pending task once, backing off retries deterministically.
@@ -705,7 +646,7 @@ def _submit_round(
 def _interrupt_round(
     reason: str,
     rest: list[tuple[_TaskState, "Future[Any]"]],
-    control: ProcessControl,
+    control: "WorkerPool",
     report: RunReport,
 ) -> None:
     """Handle an executor loss mid-round: respawn it, remap stale manifests

@@ -33,7 +33,6 @@ from repro.engine.pool import WorkerPool
 from repro.engine.resilience import ExecutionPolicy
 from repro.engine.resources import ExperimentResources
 from repro.engine.results import ComparisonReport, EvaluationReport, SweepResult
-from repro.exceptions import ConfigurationError
 from repro.frontend.editors import ConfigurationEditor, QueriesEditor
 from repro.frontend.export import DataExportModule
 from repro.frontend.plotting import Figure, render_histogram
@@ -256,8 +255,7 @@ class Session:
         end: float,
         step: float,
         resources: ExperimentResources | None = None,
-        parallel: bool = False,
-        mode: str | None = None,
+        mode: str = "sequential",
         max_workers: int | None = None,
         pool: WorkerPool | None = None,
         universe_mode: str = "original",
@@ -270,18 +268,14 @@ class Session:
         ``mode="process"`` fans the configurations out across CPU cores
         (capped by ``max_workers``), shipping the dataset through shared
         memory; a persistent ``pool`` (see :meth:`worker_pool`) reuses the
-        workers and the export across calls.  ``parallel=True`` keeps
-        selecting the legacy thread pool.  ``policy`` tunes fault tolerance;
-        the fan-out's :class:`~repro.engine.resilience.RunReport` lands on
-        the report's ``run_report``.
+        workers and the export across calls.  ``policy`` tunes fault
+        tolerance; the fan-out's :class:`~repro.engine.resilience.RunReport`
+        lands on the report's ``run_report``.
         """
-        if not configurations:
-            raise ConfigurationError("the Comparison mode needs at least one configuration")
         comparator = MethodComparator(
             self.dataset,
             resources or self.resources(),
             verify_privacy=False,
-            parallel=parallel,
             max_workers=max_workers,
             mode=mode,
             pool=pool,

@@ -1,6 +1,7 @@
 """Tests for the shared item-cut machinery of the hierarchy-based algorithms."""
 
 import gc
+import re
 
 import pytest
 
@@ -55,6 +56,11 @@ class TestItemCut:
     def test_unknown_items_rejected(self, hierarchy):
         with pytest.raises(AlgorithmError):
             ItemCut(hierarchy, ["not-an-item"])
+
+    def test_internal_node_items_rejected(self, hierarchy):
+        internal = hierarchy.parent("i0")
+        with pytest.raises(AlgorithmError, match="internal nodes"):
+            ItemCut(hierarchy, ["i1", internal])
 
     def test_generalize_node_promotes_whole_sibling_group(self, hierarchy, itemsets):
         cut = ItemCut(hierarchy, [f"i{n}" for n in range(8)])
@@ -131,6 +137,15 @@ class TestGreedy:
         cut = ItemCut(hierarchy, ["i0", "i1", "i2"])
         with pytest.raises(AlgorithmError, match=r"i3.*i4.*not covered by the item cut"):
             greedy_km_anonymize(itemsets, hierarchy, k=2, m=2, cut=cut)
+
+    def test_internal_label_itemset_raises_instead_of_hanging(self):
+        # A promotion moves only leaves, so a violating internal label would
+        # never move and the search would promote forever: fail fast instead.
+        hierarchy = build_item_hierarchy([f"i{n}" for n in range(16)], fanout=4)
+        internal = hierarchy.parent("i0")
+        itemsets = [frozenset({internal})] + [frozenset({"i5"})] * 5
+        with pytest.raises(AlgorithmError, match=re.escape(repr(internal))):
+            greedy_km_anonymize(itemsets, hierarchy, k=3, m=1)
 
     def test_passed_cut_is_extended_in_place(self, hierarchy, itemsets):
         cut = ItemCut(hierarchy, [f"i{n}" for n in range(8)])

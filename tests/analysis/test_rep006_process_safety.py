@@ -11,7 +11,7 @@ MANIFEST = InvariantManifest(
     forbidden_field_types=("Lock", "SharedMemory", "TextIO"),
     worker_calls={
         "run_many": WorkerCall(arg=1, process_only=False),
-        "fan_out_shared": WorkerCall(arg=2),
+        "fan_out": WorkerCall(arg=2),
         "pool.map": WorkerCall(arg=0),
     },
 )
@@ -46,8 +46,8 @@ CLEAN_SPEC = """
 """
 
 LAMBDA_TO_FAN_OUT = """
-    def launch(dataset, tasks):
-        return fan_out_shared(dataset, make_tasks, lambda task: task)
+    def launch(context, items):
+        return fan_out(context, items, lambda task: task)
 """
 
 LOCAL_WORKER_TO_POOL_MAP = """
@@ -77,8 +77,8 @@ MODULE_LEVEL_WORKER = """
     def worker(task):
         return task
 
-    def launch(dataset):
-        return fan_out_shared(dataset, make_tasks, worker)
+    def launch(context):
+        return fan_out(context, items, worker)
 """
 
 NESTED_WORKER_VIA_FACTORY = """
@@ -88,8 +88,8 @@ NESTED_WORKER_VIA_FACTORY = """
 
         return worker
 
-    def launch(dataset):
-        return fan_out_shared(dataset, make_tasks, make_worker(2))
+    def launch(context):
+        return fan_out(context, items, make_worker(2))
 """
 
 MODULE_LEVEL_WORKER_VIA_FACTORY = """
@@ -99,16 +99,16 @@ MODULE_LEVEL_WORKER_VIA_FACTORY = """
     def make_worker(scale):
         return worker
 
-    def launch(dataset):
-        return fan_out_shared(dataset, make_tasks, make_worker(2))
+    def launch(context):
+        return fan_out(context, items, make_worker(2))
 """
 
 NESTED_WORKER_PASSED_BY_NAME = """
-    def launch(dataset):
+    def launch(context):
         def worker(task):
             return task
 
-        return fan_out_shared(dataset, make_tasks, worker)
+        return fan_out(context, items, worker)
 """
 
 
@@ -143,7 +143,7 @@ class TestRep006SpecClasses:
 
 
 class TestRep006Workers:
-    def test_lambda_to_fan_out_shared_is_flagged(self, harness):
+    def test_lambda_to_fan_out_is_flagged(self, harness):
         findings = harness.findings(
             "src/pkg/mod.py", LAMBDA_TO_FAN_OUT, manifest=MANIFEST, select=["REP006"]
         )

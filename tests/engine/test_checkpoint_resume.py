@@ -28,11 +28,15 @@ import pytest
 
 from repro.datasets import generate_rt_dataset
 from repro.engine import (
+    EXECUTION_MODES,
     CheckpointFaults,
     CheckpointStore,
+    ExperimentResources,
+    MethodComparator,
     ParameterSweep,
     VaryingParameterExperiment,
     WorkerPool,
+    stable_digest,
     transaction_config,
 )
 from repro.frontend import Session
@@ -325,3 +329,73 @@ def test_dataset_mutation_invalidates_every_cell(tmp_path, dataset):
     ).run_report
     assert report.checkpoint_counts() == {"hit": 0, "miss": 2, "corrupt": 0}
     assert len(store.keys()) == 4
+
+
+#: COAT and PCTA generate their privacy/utility policies on demand — the
+#: resource fills that once leaked between in-process tasks.
+POLICY_CONFIGS = [
+    transaction_config("coat", m=1),
+    transaction_config("pcta", m=1),
+]
+
+POLICY_SWEEP = ParameterSweep("k", (5, 10))
+
+
+@pytest.fixture(scope="module")
+def policy_dataset():
+    return generate_rt_dataset(n_records=400, seed=41)
+
+
+def checkpointed_compare(dataset, store, mode, resources=None):
+    comparator = MethodComparator(
+        dataset, resources, mode=mode, max_workers=2, checkpoint=store
+    )
+    return comparator.compare(POLICY_CONFIGS, POLICY_SWEEP)
+
+
+def test_backends_store_identical_checkpoint_keys(tmp_path, policy_dataset):
+    """Both backends derive every key from resources no task has filled in,
+    so a comparison leaves the same cells on disk in either mode."""
+    stores = {}
+    for mode in EXECUTION_MODES:
+        stores[mode] = CheckpointStore(tmp_path / mode)
+        checkpointed_compare(policy_dataset, stores[mode], mode)
+    # Two configuration cells plus two sweep-point cells per configuration.
+    assert len(stores["sequential"].keys()) == 6
+    assert stores["sequential"].keys() == stores["process"].keys()
+
+
+@pytest.mark.parametrize("written_by, resumed_by", [
+    ("sequential", "process"),
+    ("process", "sequential"),
+    ("sequential", "sequential"),
+])
+def test_store_serves_every_configuration_across_backends(
+    tmp_path, policy_dataset, written_by, resumed_by
+):
+    """The caller reuses one resources object for both runs, as a session
+    does: the re-run must find every configuration cell the first run
+    stored, whichever backend wrote it."""
+    resources = ExperimentResources()
+    store = CheckpointStore(tmp_path / "ckpt")
+    cold = checkpointed_compare(policy_dataset, store, written_by, resources)
+    warm = checkpointed_compare(policy_dataset, store, resumed_by, resources)
+    assert warm.run_report.checkpoint_counts() == {
+        "hit": len(POLICY_CONFIGS), "miss": 0, "corrupt": 0,
+    }
+    assert len(store.keys()) == 6
+    assert [fingerprint(sweep) for sweep in warm.sweeps] == [
+        fingerprint(sweep) for sweep in cold.sweeps
+    ]
+
+
+def test_sequential_compare_leaves_caller_resources_unchanged(
+    tmp_path, policy_dataset
+):
+    resources = ExperimentResources()
+    before = stable_digest(resources)
+    checkpointed_compare(
+        policy_dataset, CheckpointStore(tmp_path / "ckpt"), "sequential", resources
+    )
+    assert stable_digest(resources) == before
+    assert resources.privacy_policy is None and resources.domains is None

@@ -106,31 +106,11 @@ class TestComparator:
         )
         assert report.values == [4]
 
-    def test_parallel_execution_matches_sequential(self, rt):
-        configurations = [
-            transaction_config("apriori", m=1, label="AA"),
-            transaction_config("vpa", m=1, label="VPA"),
-        ]
-        sweep = ParameterSweep("k", (3,))
-        sequential = MethodComparator(rt, parallel=False).compare(configurations, sweep)
-        parallel = MethodComparator(rt, parallel=True).compare(configurations, sweep)
-        assert [s.configuration["label"] for s in sequential.sweeps] == [
-            s.configuration["label"] for s in parallel.sweeps
-        ]
-        for left, right in zip(sequential.sweeps, parallel.sweeps):
-            assert left.series["transaction_ul"].y == pytest.approx(
-                right.series["transaction_ul"].y
-            )
-
 
 class TestRunner:
     def test_run_many_preserves_order(self):
-        results = run_many([3, 1, 2], lambda value: value * 10, parallel=False)
+        results = run_many([3, 1, 2], lambda value: value * 10)
         assert results == [30, 10, 20]
-
-    def test_run_many_parallel(self):
-        results = run_many(list(range(20)), lambda value: value + 1, parallel=True, max_workers=4)
-        assert results == list(range(1, 21))
 
     def test_run_many_empty(self):
         assert run_many([], lambda value: value) == []
@@ -138,9 +118,6 @@ class TestRunner:
     def test_run_many_process_mode(self):
         results = run_many(list(range(8)), _add_one, mode="process", max_workers=2)
         assert results == list(range(1, 9))
-
-    def test_run_many_mode_overrides_parallel_flag(self):
-        assert run_many([1, 2], _add_one, parallel=True, mode="sequential") == [2, 3]
 
     def test_run_many_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError):

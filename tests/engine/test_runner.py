@@ -1,21 +1,28 @@
 """Unit tests for the execution runner (`repro.engine.runner`).
 
-Covers mode resolution (including the legacy ``parallel=True`` alias and the
-unknown-mode error), order preservation across all three backends, the
-empty/single-task shortcuts, ``max_workers`` validation, and the clear error
+Covers mode validation (the two backends and the unknown-mode error, which
+now includes the removed ``"thread"`` mode), order preservation across both
+backends, the empty/single-task shortcuts, ``max_workers`` validation, and the clear error
 process mode raises for unpicklable workers.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
+from multiprocessing import shared_memory
 
 import pytest
 
-from repro.engine.pool import WorkerPool, validate_max_workers
-from repro.engine.runner import EXECUTION_MODES, resolve_mode, run_many
+from repro.columnar.shared import SharedDatasetManifest
+from repro.datasets import generate_rt_dataset
+from repro.engine import CheckpointStore, ExperimentResources, RunReport
+from repro.engine.experiment import EvaluationContext, private_resources
+from repro.engine.pool import WorkerPool, _remap_task, validate_max_workers
+from repro.engine.resilience import ExecutionPolicy
+from repro.engine.runner import EXECUTION_MODES, fan_out, resolve_mode, run_many
 from repro.exceptions import ConfigurationError, TaskError
 
 
@@ -35,24 +42,21 @@ def _explode(value):  # pragma: no cover - must never be called
 
 
 class TestResolveMode:
-    def test_defaults_to_sequential(self):
-        assert resolve_mode() == "sequential"
-
-    def test_legacy_parallel_flag_is_thread_alias(self):
-        assert resolve_mode(parallel=True) == "thread"
+    def test_two_execution_modes(self):
+        assert EXECUTION_MODES == ("sequential", "process")
 
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_explicit_modes_pass_through(self, mode):
         assert resolve_mode(mode=mode) == mode
 
-    def test_explicit_mode_wins_over_legacy_flag(self):
-        assert resolve_mode(parallel=True, mode="sequential") == "sequential"
-        assert resolve_mode(parallel=True, mode="process") == "process"
-
-    @pytest.mark.parametrize("mode", ["threads", "parallel", "", "PROCESS"])
+    @pytest.mark.parametrize("mode", ["thread", "threads", "parallel", "", "PROCESS"])
     def test_unknown_mode_raises_configuration_error(self, mode):
         with pytest.raises(ConfigurationError, match="unknown execution mode"):
             resolve_mode(mode=mode)
+
+    def test_thread_mode_error_lists_the_valid_backends(self):
+        with pytest.raises(ConfigurationError, match="'sequential', 'process'"):
+            run_many([1, 2], _square, mode="thread")
 
 
 class TestRunMany:
@@ -74,17 +78,6 @@ class TestRunMany:
         values = [3.0, 0.0, 2.0, 1.0, 4.0]
         assert run_many(values, _slow_identity, mode=mode, max_workers=2) == values
 
-    def test_thread_mode_actually_uses_threads(self):
-        seen: set[str] = set()
-
-        def worker(value):
-            seen.add(threading.current_thread().name)
-            time.sleep(0.02)
-            return value
-
-        run_many(list(range(4)), worker, mode="thread", max_workers=2)
-        assert len(seen) > 1
-
     def test_process_mode_computes_results(self):
         assert run_many([1, 2, 3], _square, mode="process", max_workers=2) == [1, 4, 9]
 
@@ -95,7 +88,7 @@ class TestRunMany:
             run_many([1, 2], _square, mode=mode, max_workers=bad_workers)
 
     def test_max_workers_one_is_allowed(self):
-        assert run_many([1, 2], _square, mode="thread", max_workers=1) == [1, 4]
+        assert run_many([1, 2], _square, mode="process", max_workers=1) == [1, 4]
         assert validate_max_workers(1) is None
         assert validate_max_workers(None) is None
 
@@ -145,3 +138,80 @@ def _same_pid(parent_pid: int) -> bool:
 
 def _raise_type_error(value):
     raise TypeError("boom-from-the-worker")
+
+
+def _describe_task(task) -> tuple:
+    """Where a fan-out task ran and what its context's dataset slot held."""
+    context, item = task
+    dataset = context.dataset
+    segment = dataset.segment if isinstance(dataset, SharedDatasetManifest) else None
+    return os.getpid(), type(dataset).__name__, segment, item
+
+
+@pytest.fixture(scope="module")
+def context():
+    dataset = generate_rt_dataset(n_records=30, n_items=8, seed=5)
+    return EvaluationContext(dataset, ExperimentResources())
+
+
+class TestFanOut:
+    def test_in_process_fast_path_has_no_report(self, context):
+        results, report = fan_out(context, ["a", "b"], _describe_task)
+        assert report is None
+        assert results == [
+            (os.getpid(), "Dataset", None, "a"),
+            (os.getpid(), "Dataset", None, "b"),
+        ]
+
+    def test_policy_or_checkpoint_asks_for_a_report(self, context, tmp_path):
+        _, with_policy = fan_out(
+            context, ["a"], _describe_task, policy=ExecutionPolicy()
+        )
+        _, with_store = fan_out(
+            context,
+            ["a"],
+            _describe_task,
+            checkpoint=CheckpointStore(tmp_path / "ckpt"),
+            checkpoint_keys=["ab"],
+        )
+        assert isinstance(with_policy, RunReport)
+        assert with_store.checkpoint_counts() == {"hit": 0, "miss": 1, "corrupt": 0}
+
+    def test_single_item_process_fan_out_runs_in_this_process(self, context):
+        results, report = fan_out(context, ["a"], _describe_task, mode="process")
+        assert results == [(os.getpid(), "Dataset", None, "a")]
+        assert report is None
+
+    def test_process_fan_out_ships_a_manifest_and_unlinks_it(self, context):
+        results, report = fan_out(
+            context, ["a", "b", "c"], _describe_task, mode="process", max_workers=2
+        )
+        assert [item for *_, item in results] == ["a", "b", "c"]
+        assert all(pid != os.getpid() for pid, *_ in results)
+        assert {kind for _, kind, _, _ in results} == {"SharedDatasetManifest"}
+        (segment,) = {segment for _, _, segment, _ in results}
+        assert report.backend == "process" and len(report.tasks) == 3
+        # The ephemeral pool is gone, and its export with it.
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=segment)
+
+
+class TestEvaluationContext:
+    def test_crash_remap_rewrites_the_manifest_inside_a_context(self, context):
+        with WorkerPool(max_workers=1) as pool:
+            stale = pool.share(context.dataset)
+            shared = EvaluationContext(stale, context.resources, True, "seed", True)
+            fresh = dataclasses.replace(stale, segment="fresh")
+            remapped, item = _remap_task({stale.segment: fresh}, (shared, "a"))
+        assert item == "a"
+        assert remapped.dataset is fresh
+        assert remapped == EvaluationContext(
+            fresh, context.resources, True, "seed", True
+        )
+
+    def test_private_resources_never_alias_the_callers(self, context):
+        caller = ExperimentResources()
+        private = private_resources(context.dataset, caller)
+        private.hierarchies["Age"] = None
+        assert caller.hierarchies == {} and caller.domains is None
+        assert private.domains is not None
