@@ -31,7 +31,7 @@ import pickle
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -40,10 +40,8 @@ from repro.columnar.registry import clear_segment, new_segment_name, register_se
 from repro.columnar.relational import CategoricalColumn, NumericColumn
 from repro.columnar.vocabulary import ItemVocabulary
 from repro.datasets.attributes import Attribute, AttributeKind, Schema
+from repro.datasets.dataset import Dataset, exact_cell_codes, records_from_columns
 from repro.exceptions import ExportError, SchemaError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset ↔ columnar)
-    from repro.datasets.dataset import Dataset
 
 #: Array start offsets are aligned so every view is cache-line aligned.
 _ALIGNMENT = 64
@@ -118,33 +116,6 @@ def _decode_strings(blob: np.ndarray, offsets: np.ndarray) -> tuple[str, ...]:
 
 def _aligned(offset: int) -> int:
     return -(-offset // _ALIGNMENT) * _ALIGNMENT
-
-
-def _exact_cell_codes(dataset: "Dataset", attribute: str) -> tuple[np.ndarray, tuple]:
-    """Per-record codes over the distinct cells of a numeric column, keyed by
-    *type-exact* identity.
-
-    The categorical ``codes`` use dictionary-key equality, under which ``25``
-    and ``25.0`` share a code — so ``values[code]`` cannot reconstruct the
-    original cells exactly (their ``str()`` forms, hence ``string_codes()``,
-    differ).  Keying on ``(type name, repr)`` keeps equal-but-distinct cells
-    apart — including ``-0.0`` versus ``0.0``, which compare and hash equal
-    as floats yet stringify differently — while preserving the dict
-    behaviour for everything else.
-    """
-    index: dict = {}
-    values: list = []
-    codes = np.empty(len(dataset), dtype=np.int32)
-    for position, record in enumerate(dataset.records):
-        value = record[attribute]
-        key = (type(value).__name__, repr(value))
-        code = index.get(key)
-        if code is None:
-            code = len(values)
-            index[key] = code
-            values.append(value)
-        codes[position] = code
-    return codes, tuple(values)
 
 
 def _unlink_segment(segment: shared_memory.SharedMemory) -> None:
@@ -226,7 +197,9 @@ class SharedDatasetExport:
                 relational_values.append((attribute.name, tuple(column.values)))
                 if attribute.is_numeric:
                     payloads.append((f"{attribute.name}/numbers", column.numbers))
-                    cells, values = _exact_cell_codes(dataset, attribute.name)
+                    cells, values = exact_cell_codes(
+                        [record[attribute.name] for record in dataset]
+                    )
                     payloads.append((f"{attribute.name}/cells", cells))
                     numeric_cells.append((attribute.name, values))
 
@@ -348,8 +321,6 @@ def attach(manifest: SharedDatasetManifest) -> "Dataset":
     already copy first (``dataset.copy()``), and mutating the view would only
     drop the shared columns from its cache, never write to the segment.
     """
-    from repro.datasets.dataset import Dataset, Record
-
     # Note on the resource tracker: Python ≤ 3.12 registers a segment on
     # *attach* as well as on create, but pool workers share the exporter's
     # tracker (the fd is inherited by fork and spawn children alike) and its
@@ -401,7 +372,7 @@ def attach(manifest: SharedDatasetManifest) -> "Dataset":
             values = relational_values[name]
             if attribute.is_numeric:
                 # Reconstruct cells from the type-exact vocabulary (see
-                # _exact_cell_codes), not from values[code].
+                # exact_cell_codes), not from values[code].
                 exact_values = numeric_cells[name]
                 cells = [
                     exact_values[code]
@@ -422,11 +393,9 @@ def attach(manifest: SharedDatasetManifest) -> "Dataset":
             cells_by_attribute[name] = cells
 
     names = schema.names
-    if names:
-        per_attribute = [cells_by_attribute[name] for name in names]
-        records = [Record(dict(zip(names, row))) for row in zip(*per_attribute)]
-    else:
-        records = [Record({}) for _ in range(manifest.n_records)]
+    records = records_from_columns(
+        names, [cells_by_attribute[name] for name in names], manifest.n_records
+    )
 
     dataset = Dataset(schema, name=manifest.dataset_name)
     # repro: allow[REP002] -- attach() pre-seeds a freshly constructed Dataset

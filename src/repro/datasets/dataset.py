@@ -6,14 +6,18 @@ and transaction (set-valued) attributes — what the SECRETA paper calls an
 degenerate cases of the same model, so a single class serves all nine
 anonymization algorithms.
 
-The model is deliberately row-oriented: anonymization algorithms group,
-generalize and merge *records*, so records are first-class
-(:class:`Record`), while column views are derived on demand.
+Anonymization algorithms group, generalize and merge *records*, so records
+are first-class (:class:`Record`), while column views are derived on demand.
+A dataset pickles column-encoded instead (distinct cells plus one narrow
+code per record, see :func:`exact_cell_codes`), and an unpickled dataset
+decodes its rows on first row-level access: checkpoint loads and
+process-mode result transfer that never read the rows never build them.
 """
 
 from __future__ import annotations
 
 import copy as _copy
+import functools
 import hashlib
 import re
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -132,6 +136,78 @@ def _normalise_cell(attribute: Attribute, value: Any) -> Any:
     return str(value)
 
 
+def _owning_record(values: dict[str, Any]) -> Record:
+    """A :class:`Record` that takes ownership of ``values`` (no copy).
+
+    Every path that makes rows goes through here: callers hand over a dict
+    made for this record alone, so it is never copied a second time.
+    """
+    record = object.__new__(Record)
+    record._values = values
+    return record
+
+
+def records_from_columns(
+    names: Sequence[str], columns: Sequence[Sequence[Any]], n_records: int
+) -> list[Record]:
+    """One record per row of per-attribute cell lists given in ``names`` order.
+
+    Cells are shared, never copied: each distinct cell object of a column
+    lands in every row that holds it, and each row gets one fresh dict.
+    """
+    if not names:
+        return [_owning_record({}) for _ in range(n_records)]
+    return [_owning_record(dict(zip(names, row))) for row in zip(*columns)]
+
+
+#: Cell types whose dictionary-key equality is exact (equal keys have the
+#: same type and repr).  Any other cell — ``float`` above all, where ``25``
+#: equals ``25.0`` and ``-0.0`` equals ``0.0`` — is keyed by type and repr,
+#: except NaN, which is keyed by identity just as a dict matches it.
+_KEYED_BY_VALUE = frozenset({str, int, frozenset, type(None)})
+
+
+def _code_dtype(n_distinct: int) -> np.dtype:
+    """The narrowest unsigned integer dtype holding codes below ``n_distinct``."""
+    if n_distinct <= 1 << 8:
+        return np.dtype(np.uint8)
+    if n_distinct <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
+
+
+def exact_cell_codes(cells: Sequence[Any]) -> tuple[np.ndarray, tuple]:
+    """Per-cell codes over the distinct cells in first-seen order, type-exact.
+
+    Returns ``(codes, values)``: ``values`` holds the first-seen object of
+    each distinct cell, so ``values[codes[i]]`` has the type and repr of
+    ``cells[i]``.  Dictionary-key equality would merge ``25`` with ``25.0``
+    and ``-0.0`` with ``0.0``, whose string forms differ; such cells are
+    keyed by ``(type, repr)`` instead, so they keep distinct codes.  A NaN
+    cell equals nothing, itself included, so distinct NaN objects stay
+    distinct, as they are in a dict-keyed column view (and the dataset's
+    fingerprint).  Codes use the narrowest unsigned dtype that fits
+    (:func:`_code_dtype`).
+    """
+    index: dict[Any, int] = {}
+    distinct: list[Any] = []
+    codes = []
+    for value in cells:
+        kind = type(value)
+        if kind in _KEYED_BY_VALUE:
+            key = value
+        elif value != value:  # NaN
+            key = (kind, id(value))
+        else:
+            key = (kind, repr(value))
+        code = index.get(key)
+        if code is None:
+            code = index[key] = len(distinct)
+            distinct.append(value)
+        codes.append(code)
+    return np.array(codes, dtype=_code_dtype(len(distinct))), tuple(distinct)
+
+
 class Dataset:
     """An in-memory RT-dataset: a schema plus an ordered list of records."""
 
@@ -143,7 +219,11 @@ class Dataset:
     ):
         self._schema = schema if isinstance(schema, Schema) else Schema(schema)
         self.name = name
-        self._records: list[Record] = []
+        self._records = []
+        #: ``(names, n_records, columns)`` of an unpickled dataset whose rows
+        #: are not decoded yet (see :meth:`__setstate__`); ``None`` once the
+        #: rows are live.
+        self._encoded: tuple[tuple[str, ...], int, tuple] | None = None
         #: attribute -> cached TransactionColumn; dropped on any mutation.
         self._columnar: dict[str, Any] = {}
         #: Monotonic mutation counter; every mutator bumps it, so cached
@@ -178,6 +258,8 @@ class Dataset:
 
     # -- basic container protocol ---------------------------------------------
     def __len__(self) -> int:
+        if self._encoded is not None:
+            return self._encoded[1]
         return len(self._records)
 
     def __iter__(self) -> Iterator[Record]:
@@ -193,22 +275,30 @@ class Dataset:
 
     def __repr__(self) -> str:
         return (
-            f"Dataset(name={self.name!r}, records={len(self._records)}, "
+            f"Dataset(name={self.name!r}, records={len(self)}, "
             f"attributes={self._schema.names})"
         )
 
     # -- pickling -------------------------------------------------------------
     def __getstate__(self) -> dict:
-        # Positional rows instead of per-Record reduction: a dataset pickles
-        # roughly 6x faster at half the bytes, which keeps checkpoint-cell
-        # writes and process-mode result transfer inside the durability
-        # overhead budget.  Derived caches are dropped and rebuilt on demand.
-        names = self._schema.names
+        # Column-encoded instead of per-row: each attribute pickles its
+        # distinct cells once plus one narrow code per record, so repeated
+        # cells (generalized labels, shared itemsets) cost a byte or two and
+        # the unpickling side can defer building rows.  Derived caches are
+        # dropped and rebuilt on demand.
+        if self._encoded is not None:
+            _, n_records, columns = self._encoded
+        else:
+            n_records = len(self._records)
+            columns = tuple(
+                self._encode_column(attribute) for attribute in self._schema
+            )
         return {
             "schema": self._schema,
             "name": self.name,
             "version": self._version,
-            "rows": [record.values_for(names) for record in self._records],
+            "n_records": n_records,
+            "columns": columns,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -217,10 +307,47 @@ class Dataset:
         self._version = state["version"]
         self._columnar = {}
         self._fingerprint = None
-        names = self._schema.names
-        self._records = [
-            Record(dict(zip(names, row))) for row in state["rows"]
-        ]
+        # No Record is built here: the first row-level access decodes them
+        # (see _records), so callers that only pass the dataset on, count it
+        # or pickle it again never pay for the rows.
+        self.__dict__.pop("_records", None)
+        self._encoded = (self._schema.names, state["n_records"], state["columns"])
+
+    def _encode_column(self, attribute: Attribute) -> tuple[tuple, np.ndarray]:
+        """``(distinct cells, codes)`` of one attribute (see exact_cell_codes)."""
+        column = self._columnar.get(attribute.name)
+        if (
+            column is not None
+            and not attribute.is_transaction
+            and all(type(value) is str or value is None for value in column.values)
+        ):
+            # The cached column's dictionary-key codes are already exact for
+            # str/None cells; only the dtype narrows.
+            values = column.values
+            return values, column.codes.astype(_code_dtype(len(values)))
+        codes, values = exact_cell_codes(
+            [record._values[attribute.name] for record in self._records]
+        )
+        return values, codes
+
+    @functools.cached_property
+    def _records(self) -> list[Record]:
+        """The rows of an unpickled dataset, decoded on first access.
+
+        A constructed dataset sets this attribute itself, so the decode only
+        ever runs once per unpickled dataset; afterwards the plain instance
+        attribute shadows this descriptor at no per-access cost.
+        """
+        if self._encoded is None:  # pragma: no cover - __init__ sets _records
+            raise DatasetError("dataset rows are neither live nor encoded")
+        names, n_records, columns = self._encoded
+        records = records_from_columns(
+            names,
+            [list(map(values.__getitem__, codes.tolist())) for values, codes in columns],
+            n_records,
+        )
+        self._encoded = None
+        return records
 
     # -- accessors -------------------------------------------------------------
     @property
@@ -234,7 +361,7 @@ class Dataset:
 
     @property
     def is_empty(self) -> bool:
-        return not self._records
+        return len(self) == 0
 
     @property
     def is_rt_dataset(self) -> bool:
@@ -489,7 +616,7 @@ class Dataset:
         (strings, numbers, ``frozenset`` itemsets).
         """
         clone = Dataset(self._schema, name=name or self.name)
-        clone._records = [Record(record.as_dict()) for record in self._records]
+        clone._records = [_owning_record(record._values.copy()) for record in self._records]
         return clone
 
     def project(self, names: Sequence[str], name: str | None = None) -> "Dataset":
@@ -506,16 +633,19 @@ class Dataset:
         """A new dataset containing the records for which ``predicate`` holds."""
         selected = Dataset(self._schema, name=name or f"{self.name}[selected]")
         selected._records = [
-            Record(record.as_dict()) for record in self._records if predicate(record)
+            _owning_record(record._values.copy())
+            for record in self._records
+            if predicate(record)
         ]
         return selected
 
     def subset(self, indices: Sequence[int], name: str | None = None) -> "Dataset":
         """A new dataset containing the records at ``indices`` (in that order)."""
         selected = Dataset(self._schema, name=name or f"{self.name}[subset]")
+        records = self._records
         try:
             selected._records = [
-                Record(self._records[i].as_dict()) for i in indices
+                _owning_record(records[i]._values.copy()) for i in indices
             ]
         except IndexError:
             raise DatasetError("subset index out of range") from None

@@ -196,7 +196,9 @@ _MAGIC = b"RPCK"
 
 #: Bump when the frame layout or the cell payload encoding changes
 #: incompatibly; stores written under another version are rebuilt.
-FORMAT_VERSION = 1
+#: Version 2: datasets inside cell payloads pickle column-encoded (distinct
+#: cells plus narrow per-record codes) instead of as positional row tuples.
+FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<4sIIQ")  # magic, format version, crc32c, length
 

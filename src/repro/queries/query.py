@@ -205,7 +205,14 @@ class Query:
         items: Iterable[str] = (),
         transaction_attribute: str | None = None,
     ):
-        object.__setattr__(self, "conditions", dict(conditions or {}))
+        # Plain ``str`` keys: names drawn with ``rng.choice`` are
+        # ``numpy.str_``, which would otherwise leak into column caches and
+        # into every pickled task.
+        object.__setattr__(
+            self,
+            "conditions",
+            {str(name): condition for name, condition in (conditions or {}).items()},
+        )
         object.__setattr__(self, "items", frozenset(str(item) for item in items))
         object.__setattr__(self, "transaction_attribute", transaction_attribute)
         if not self.conditions and not self.items:

@@ -225,6 +225,24 @@ class TestCheckpointStore:
         # The header has been rewritten to the current format.
         assert (directory / "FORMAT").read_bytes().startswith(b"RPCK")
 
+    def test_version_1_store_is_rebuilt_as_misses(self, tmp_path):
+        # Version 1 cells pickled datasets as row tuples; a store written
+        # then is dropped on open, so its cells read as misses, not corrupt.
+        assert FORMAT_VERSION == 2
+        directory = tmp_path / "ckpt"
+        key = task_key("unit", 8)
+        payload = pickle.dumps(Dataset(Schema([Attribute.numeric("Age")]), [{"Age": 1}]))
+        header = struct.Struct("<4sIIQ").pack(b"RPCK", 1, 0, len(payload))
+        (directory / "cells").mkdir(parents=True)
+        (directory / "cells" / f"{key}.ckpt").write_bytes(header + payload)
+        (directory / "FORMAT").write_bytes(b"RPCK" + struct.pack("<I", 1) + b"\n")
+        store = CheckpointStore(directory)
+        assert store.load(key).status == "miss"
+        assert store.keys() == []
+        assert (directory / "FORMAT").read_bytes() == (
+            b"RPCK" + struct.pack("<I", FORMAT_VERSION) + b"\n"
+        )
+
     def test_keys_lists_cells(self, tmp_path):
         store = CheckpointStore(tmp_path)
         keys = sorted(task_key("unit", n) for n in range(3))

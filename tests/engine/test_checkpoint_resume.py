@@ -399,3 +399,46 @@ def test_sequential_compare_leaves_caller_resources_unchanged(
     )
     assert stable_digest(resources) == before
     assert resources.privacy_policy is None and resources.domains is None
+
+
+def datasets_of(report) -> list:
+    """The anonymized dataset of every sweep point of a comparison."""
+    return [cell.result.dataset for sweep in report.sweeps for cell in sweep.reports]
+
+
+def assert_same_datasets(served, expected) -> None:
+    assert len(served) == len(expected)
+    for dataset, reference in zip(served, expected):
+        assert dataset == reference
+        assert dataset.fingerprint() == reference.fingerprint()
+        assert dataset.version == reference.version
+
+
+@pytest.mark.parametrize("resumed_by", EXECUTION_MODES)
+def test_resumed_comparison_serves_the_cold_datasets(
+    tmp_path, policy_dataset, resumed_by
+):
+    """Served cells carry column-encoded datasets whose rows are built on
+    first access; once read they equal the datasets the cold run made."""
+    resources = ExperimentResources()
+    store = CheckpointStore(tmp_path / "ckpt")
+    cold = checkpointed_compare(policy_dataset, store, "sequential", resources)
+    warm = checkpointed_compare(policy_dataset, store, resumed_by, resources)
+    assert warm.run_report.checkpoint_counts()["hit"] == len(POLICY_CONFIGS)
+    served = datasets_of(warm)
+    # Nothing on the resume path needed the rows.
+    assert all("_records" not in vars(dataset) for dataset in served)
+    assert [len(dataset) for dataset in served] == [
+        len(dataset) for dataset in datasets_of(cold)
+    ]
+    assert_same_datasets(served, datasets_of(cold))
+
+
+def test_process_comparison_returns_the_sequential_datasets(policy_dataset):
+    """Worker results cross the process boundary column-encoded; the
+    datasets the parent reads back equal the in-process ones."""
+    sequential = MethodComparator(policy_dataset).compare(POLICY_CONFIGS, POLICY_SWEEP)
+    process = MethodComparator(policy_dataset, mode="process", max_workers=2).compare(
+        POLICY_CONFIGS, POLICY_SWEEP
+    )
+    assert_same_datasets(datasets_of(process), datasets_of(sequential))

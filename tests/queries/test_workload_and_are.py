@@ -1,5 +1,6 @@
 """Tests for workload generation, persistence and ARE."""
 
+import numpy as np
 import pytest
 
 from repro.datasets import (
@@ -9,6 +10,7 @@ from repro.datasets import (
     generate_rt_dataset,
     toy_rt_dataset,
 )
+from repro.engine.checkpoint import stable_digest
 from repro.exceptions import QueryError
 from repro.queries import (
     Query,
@@ -83,6 +85,22 @@ class TestWorkload:
         a = generate_query_workload(rt, n_queries=10, seed=5)
         b = generate_query_workload(rt, n_queries=10, seed=5)
         assert [q.to_dict() for q in a] == [q.to_dict() for q in b]
+
+    def test_generated_condition_keys_are_plain_str(self, rt):
+        workload = generate_query_workload(rt, n_queries=25, seed=3)
+        names = [name for query in workload for name in query.conditions]
+        assert names
+        for name in names:
+            assert type(name) is str
+        # Answering the workload keys the dataset's column cache by the
+        # condition names, so they must not leak numpy scalars there either.
+        average_relative_error(workload, rt, rt.copy())
+        for name in rt._columnar:
+            assert type(name) is str
+        # Checkpoint keys are unaffected: the digest never saw the key type.
+        query = next(query for query in workload if query.conditions)
+        as_numpy = {np.str_(name): c for name, c in query.conditions.items()}
+        assert stable_digest(as_numpy) == stable_digest(dict(query.conditions))
 
     def test_generation_parameter_validation(self, rt):
         with pytest.raises(QueryError):
