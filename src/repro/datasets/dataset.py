@@ -17,7 +17,6 @@ process-mode result transfer that never read the rows never build them.
 from __future__ import annotations
 
 import copy as _copy
-import functools
 import hashlib
 import re
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -219,11 +218,12 @@ class Dataset:
     ):
         self._schema = schema if isinstance(schema, Schema) else Schema(schema)
         self.name = name
-        self._records = []
         #: ``(names, n_records, columns)`` of an unpickled dataset whose rows
         #: are not decoded yet (see :meth:`__setstate__`); ``None`` once the
         #: rows are live.
         self._encoded: tuple[tuple[str, ...], int, tuple] | None = None
+        #: The live rows behind :attr:`_records`; ``None`` while encoded.
+        self._rows: list[Record] | None = []
         #: attribute -> cached TransactionColumn; dropped on any mutation.
         self._columnar: dict[str, Any] = {}
         #: Monotonic mutation counter; every mutator bumps it, so cached
@@ -310,7 +310,7 @@ class Dataset:
         # No Record is built here: the first row-level access decodes them
         # (see _records), so callers that only pass the dataset on, count it
         # or pickle it again never pay for the rows.
-        self.__dict__.pop("_records", None)
+        self._rows = None
         self._encoded = (self._schema.names, state["n_records"], state["columns"])
 
     def _encode_column(self, attribute: Attribute) -> tuple[tuple, np.ndarray]:
@@ -322,7 +322,8 @@ class Dataset:
             and all(type(value) is str or value is None for value in column.values)
         ):
             # The cached column's dictionary-key codes are already exact for
-            # str/None cells; only the dtype narrows.
+            # str/None cells; only the dtype narrows.  Every mutator drops
+            # the affected cache entries, so the column matches the rows.
             values = column.values
             return values, column.codes.astype(_code_dtype(len(values)))
         codes, values = exact_cell_codes(
@@ -330,24 +331,25 @@ class Dataset:
         )
         return values, codes
 
-    @functools.cached_property
+    @property
     def _records(self) -> list[Record]:
-        """The rows of an unpickled dataset, decoded on first access.
+        """The live rows; an unpickled dataset decodes them on first access."""
+        if self._rows is None:
+            if self._encoded is None:  # pragma: no cover - one is always set
+                raise DatasetError("dataset rows are neither live nor encoded")
+            names, n_records, columns = self._encoded
+            self._rows = records_from_columns(
+                names,
+                [list(map(values.__getitem__, codes.tolist())) for values, codes in columns],
+                n_records,
+            )
+            self._encoded = None
+        return self._rows
 
-        A constructed dataset sets this attribute itself, so the decode only
-        ever runs once per unpickled dataset; afterwards the plain instance
-        attribute shadows this descriptor at no per-access cost.
-        """
-        if self._encoded is None:  # pragma: no cover - __init__ sets _records
-            raise DatasetError("dataset rows are neither live nor encoded")
-        names, n_records, columns = self._encoded
-        records = records_from_columns(
-            names,
-            [list(map(values.__getitem__, codes.tolist())) for values, codes in columns],
-            n_records,
-        )
+    @_records.setter
+    def _records(self, records: list[Record]) -> None:
+        self._rows = records
         self._encoded = None
-        return records
 
     # -- accessors -------------------------------------------------------------
     @property

@@ -427,7 +427,7 @@ def test_resumed_comparison_serves_the_cold_datasets(
     assert warm.run_report.checkpoint_counts()["hit"] == len(POLICY_CONFIGS)
     served = datasets_of(warm)
     # Nothing on the resume path needed the rows.
-    assert all("_records" not in vars(dataset) for dataset in served)
+    assert all(dataset._rows is None for dataset in served)
     assert [len(dataset) for dataset in served] == [
         len(dataset) for dataset in datasets_of(cold)
     ]
