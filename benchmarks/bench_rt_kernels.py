@@ -11,8 +11,9 @@ Measures the two hot paths PR 3 vectorized, on a 50k-record RT-dataset:
   where one experiment scores the same dataset pair many times.
 * **RT bounding merge phase** — repeated merge-partner selection over
   thousands of clusters (strategy ``"rt"``: relational bound widening plus
-  transaction Jaccard).  Baseline: the scalar ``_merge_score`` loop that
-  re-walks every member record of both clusters per candidate partner.  The
+  transaction Jaccard).  Baseline: the scalar ``merge_score`` loop of
+  ``tests/property/rt_reference.py``, which re-walks every member record of
+  both clusters per candidate partner.  The
   kernel path maintains per-cluster summaries (:class:`_MergeState`) and
   scores all partners in one vectorized pass per step.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -45,6 +47,10 @@ from repro.hierarchy.builders import format_interval
 from repro.metrics import RelationalLossContext, global_certainty_penalty
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+# The scalar merge reference lives with the property tests that pin the
+# kernel to it.
+sys.path.insert(0, str(REPO_ROOT / "tests" / "property"))
+from rt_reference import merge_score  # noqa: E402
 TRAJECTORY_FILE = REPO_ROOT / "BENCH_rt.json"
 
 N_RECORDS = 50_000
@@ -66,7 +72,7 @@ def scalar_gcp(context: RelationalLossContext, anonymized) -> float:
 
 
 def scalar_merge_phase(algorithm, helper, dataset, attributes, attribute, clusters, steps):
-    """The pre-kernel merge loop: scalar ``_merge_score`` over every partner."""
+    """The pre-kernel merge loop: scalar ``merge_score`` over every partner."""
     clusters = [list(cluster) for cluster in clusters]
     chosen = []
     for _ in range(steps):
@@ -74,8 +80,9 @@ def scalar_merge_phase(algorithm, helper, dataset, attributes, attribute, cluste
         candidates = [p for p in range(len(clusters)) if p != worst]
         partner = min(
             candidates,
-            key=lambda p: algorithm._merge_score(
-                helper, dataset, attributes, attribute, clusters[worst], clusters[p]
+            key=lambda p: merge_score(
+                algorithm.merge_strategy,
+                helper, dataset, attributes, attribute, clusters[worst], clusters[p],
             ),
         )
         merged = sorted(clusters[worst] + clusters[partner])

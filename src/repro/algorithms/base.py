@@ -25,6 +25,7 @@ from repro.datasets.dataset import Dataset
 from repro.exceptions import ConfigurationError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.metrics.relational import quasi_identifier_attributes
+from repro.metrics.transaction import utility_loss
 
 
 @dataclass
@@ -103,6 +104,29 @@ class Anonymizer(abc.ABC):
     def parameters(self) -> dict[str, Any]:
         """The algorithm's configuration, for reporting (overridden as needed)."""
         return {}
+
+    def anonymize_rows(
+        self,
+        parent: Dataset,
+        rows: Sequence[int],
+        ul_hierarchy: Hierarchy | None = None,
+        attribute: str | None = None,
+    ) -> tuple[list[Any], float]:
+        """Anonymize the transactions of ``parent``'s ``rows``; return itemsets and UL.
+
+        The RT bounding methods call this once per cluster.  The itemsets
+        follow ``rows`` order, and the UL is the slice's utility loss with
+        labels read through ``ul_hierarchy``.  This default materializes the
+        slice as a subset and runs :meth:`anonymize` on it; the
+        hierarchy-cut algorithms override it to work on the parent's columns.
+        """
+        attribute = attribute or parent.single_transaction_attribute()
+        subset = parent.subset(rows)
+        result = self.anonymize(subset)
+        loss = utility_loss(
+            subset, result.dataset, attribute=attribute, hierarchy=ul_hierarchy
+        )
+        return result.dataset.column(attribute), loss
 
     def __repr__(self) -> str:
         parameters = ", ".join(f"{k}={v!r}" for k, v in self.parameters().items())

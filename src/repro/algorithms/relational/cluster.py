@@ -410,11 +410,15 @@ class ClusterAnonymizer(Anonymizer):
         if not hasattr(self, "_domain_size") or not self._domain_size:
             self._prepare(dataset, attributes)
         anonymized = dataset.copy(name=f"{dataset.name}[{name_suffix}]")
+        columns = {name: dataset.column(name) for name in attributes}
         for cluster in clusters:
             published = self._generalized_values(dataset, attributes, cluster)
-            for index in cluster:
-                for attribute, value in published.items():
-                    anonymized.set_value(index, attribute, value)
+            for attribute, value in published.items():
+                column = columns[attribute]
+                for index in cluster:
+                    column[index] = value
+        for attribute, column in columns.items():
+            anonymized.set_column(attribute, column)
         return anonymized
 
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:

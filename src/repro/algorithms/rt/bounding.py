@@ -26,6 +26,7 @@ with any of the three bounding methods.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -46,23 +47,74 @@ from repro.hierarchy.hierarchy import Hierarchy
 from repro.metrics.relational import global_certainty_penalty
 from repro.metrics.transaction import utility_loss
 
-#: A factory producing a configured transaction anonymizer for one cluster.
+#: A factory producing a configured transaction anonymizer; it is called once
+#: per :meth:`RtBoundingAnonymizer.anonymize`, with the whole dataset.
 TransactionFactory = Callable[[Dataset], Anonymizer]
+
+
+class _NodeCodes:
+    """Integer codes of a hierarchy's nodes and the tables the merge kernel gathers.
+
+    ``ancestors[c, d]`` is the code of node ``c``'s ancestor at depth ``d``
+    (``c`` itself at its own depth, -1 below it).  Two root paths agree on a
+    prefix, so the depth of a lowest common ancestor is the number of
+    agreeing columns minus one.
+    """
+
+    __slots__ = ("code", "depth", "ancestors", "leaf_count")
+
+    def __init__(self, hierarchy: Hierarchy):
+        nodes = list(hierarchy.iter_nodes())  # pre-order: parents first
+        self.code = {node.label: code for code, node in enumerate(nodes)}
+        self.depth = np.array([node.depth for node in nodes], dtype=np.int64)
+        self.ancestors = np.full((len(nodes), hierarchy.height + 1), -1, dtype=np.int64)
+        for code, node in enumerate(nodes):
+            if node.parent is not None:
+                self.ancestors[code] = self.ancestors[self.code[node.parent.label]]
+            self.ancestors[code, node.depth] = code
+        self.leaf_count = np.array(
+            [hierarchy.leaf_count(node.label) for node in nodes], dtype=np.int64
+        )
+
+    def encode(self, hierarchy: Hierarchy, label: str) -> int:
+        # hierarchy.node raises the HierarchyError an LCA lookup would.
+        return self.code[hierarchy.node(label).label]
+
+    def lowest_common_ancestors(self, codes: np.ndarray, other: int) -> np.ndarray:
+        """The LCA of ``other`` with each node of ``codes``, as codes."""
+        depth = int(self.depth[other])
+        path = self.ancestors[other, : depth + 1]
+        agreeing = (self.ancestors[codes, : depth + 1] == path).sum(axis=1)
+        return path[agreeing - 1]
+
+
+_NODE_CODES: "weakref.WeakKeyDictionary[Hierarchy, _NodeCodes]" = weakref.WeakKeyDictionary()
+
+
+def _node_codes(hierarchy: Hierarchy) -> _NodeCodes:
+    codes = _NODE_CODES.get(hierarchy)
+    if codes is None:
+        codes = _NODE_CODES[hierarchy] = _NodeCodes(hierarchy)
+    return codes
 
 
 class _MergeState:
     """Incrementally maintained per-cluster summaries for the merge phase.
 
-    The scalar merge loop re-walks every member record of both clusters for
-    every candidate partner at every merge step.  This state keeps, per
-    cluster, exactly what the merge score needs — numeric lo/hi vectors,
-    categorical distinct-value bitsets (plus the running LCA node for
-    hierarchy-scored attributes), and transaction item bitsets — so scoring
-    the worst cluster against *all* partners is one vectorized pass
-    (``fmin``/``fmax`` widening, OR + popcount), and a merge updates the
-    summaries in O(clusters) instead of rebuilding them.  Scores are
-    numerically identical to :meth:`RtBoundingAnonymizer._merge_score`: the
-    same operations run in the same attribute order, and the LCA of a merged
+    Per cluster the state keeps exactly what the merge score needs — numeric
+    lo/hi vectors, categorical distinct-value bitsets (plus the integer code
+    of the running LCA node for hierarchy-scored attributes), and transaction
+    item bitsets — so scoring the worst cluster against *all* partners is one
+    vectorized pass (``fmin``/``fmax`` widening, OR + popcount, one gather for
+    the merged LCAs and their leaf counts).
+
+    Summaries live in fixed *slots*; ``_slots`` maps each cluster position to
+    its slot.  A merge ORs the partner's summary into the worst cluster's
+    slot in place and reorders ``_slots`` to ``keep + [merged]`` — the order
+    the bounding loop keeps its cluster list in, which decides ``argmin``
+    ties.  Retired slots are still scored but never read.  Scores equal the
+    scalar re-scan's (``tests/property/rt_reference.py``): the same
+    operations run in the same attribute order, and the LCA of a merged
     value set equals the LCA of the two clusters' LCA nodes.
     """
 
@@ -78,16 +130,19 @@ class _MergeState:
         self._strategy = strategy
         self._attributes = list(attributes)
         self._n_attributes = max(len(self._attributes), 1)
-        self._n = len(clusters)
+        n = len(clusters)
+        #: cluster position -> slot of its summaries
+        self._slots = list(range(n))
+        self._capacity = n
         #: record index -> cluster position, used to scatter per-record
         #: occurrences into per-cluster bitsets.
         membership = np.empty(len(dataset), dtype=np.int64)
         for position, cluster in enumerate(clusters):
             membership[np.asarray(cluster, dtype=np.int64)] = position
 
-        #: ("num", span, lo, hi) / ("cat", denominator, bits, hierarchy,
-        #: reps, width memo, lca memo) per contributing attribute, in order.
-        self._relational: list[list] = []
+        #: ("num", span, lo, hi) / ("cat", denominator, bits, node codes,
+        #: LCA code per slot) per contributing attribute, in order.
+        self._relational: list[tuple] = []
         if strategy in ("r", "rt"):
             for name in self._attributes:
                 if name in helper._numeric:
@@ -95,133 +150,122 @@ class _MergeState:
                     if span <= 0:
                         continue
                     numbers = dataset.columnar(name).numbers
-                    lo = np.full(self._n, np.inf)
-                    hi = np.full(self._n, -np.inf)
+                    lo = np.full(n, np.inf)
+                    hi = np.full(n, -np.inf)
                     for position, cluster in enumerate(clusters):
                         values = numbers[np.asarray(cluster, dtype=np.int64)]
                         lo[position] = np.fmin.reduce(values, initial=np.inf)
                         hi[position] = np.fmax.reduce(values, initial=-np.inf)
-                    self._relational.append(["num", span, lo, hi])
+                    self._relational.append(("num", span, lo, hi))
                 else:
                     size = helper._domain_size[name]
                     if size <= 1:
                         continue
                     cells, labels = dataset.columnar(name).string_codes()
                     present = cells < len(labels)
-                    bits = posting_matrix(
-                        membership[present], cells[present], self._n, len(labels)
-                    )
+                    bits = posting_matrix(membership[present], cells[present], n, len(labels))
                     hierarchy = helper.hierarchies.get(name)
-                    reps: list[str | None] | None = None
+                    codes: _NodeCodes | None = None
+                    reps: np.ndarray | None = None
                     if hierarchy is not None:
-                        reps = []
+                        codes = _node_codes(hierarchy)
+                        reps = np.full(n, -1, dtype=np.int64)
                         for position, cluster in enumerate(clusters):
                             indices = np.asarray(cluster, dtype=np.int64)
-                            codes = np.unique(cells[indices])
-                            distinct = [labels[c] for c in codes if c < len(labels)]
-                            if not distinct:
-                                reps.append(None)
-                            elif len(distinct) == 1:
-                                reps.append(distinct[0])
-                            else:
-                                reps.append(hierarchy.lowest_common_ancestor(distinct))
-                    self._relational.append(
-                        ["cat", max(size - 1, 1), bits, hierarchy, reps, {}, {}]
-                    )
+                            distinct = [
+                                labels[c] for c in np.unique(cells[indices]) if c < len(labels)
+                            ]
+                            if len(distinct) == 1:
+                                reps[position] = codes.encode(hierarchy, distinct[0])
+                            elif distinct:
+                                reps[position] = codes.encode(
+                                    hierarchy, hierarchy.lowest_common_ancestor(distinct)
+                                )
+                    self._relational.append(("cat", max(size - 1, 1), bits, codes, reps))
         self._transaction_bits: np.ndarray | None = None
         if strategy in ("t", "rt"):
             column = dataset.columnar(attribute)
             self._transaction_bits = posting_matrix(
                 membership[column.record_ids()],
                 column.tokens,
-                self._n,
+                n,
                 len(column.vocabulary),
             )
 
     # -- scoring -------------------------------------------------------------------
-    def _merged_rep(self, spec: list, worst: int, partner: int) -> str | None:
-        """LCA node of the merged distinct-value set (via the two cluster LCAs)."""
-        _, _, _, hierarchy, reps, _, lca_memo = spec
-        rep_w, rep_p = reps[worst], reps[partner]
-        if rep_w is None:
-            return rep_p
-        if rep_p is None or rep_p == rep_w:
-            return rep_w
-        key = (rep_w, rep_p) if rep_w <= rep_p else (rep_p, rep_w)
-        merged = lca_memo.get(key)
-        if merged is None:
-            merged = hierarchy.lowest_common_ancestor(key)
-            lca_memo[key] = merged
-        return merged
+    @staticmethod
+    def _merged_reps(codes: _NodeCodes, reps: np.ndarray, slot: int) -> np.ndarray:
+        """Per slot, the LCA code of its values merged with ``slot``'s (-1: no value)."""
+        rep = int(reps[slot])
+        if rep < 0:
+            return reps
+        return np.where(reps < 0, rep, codes.lowest_common_ancestors(reps, rep))
 
-    def relational_scores(self, worst: int) -> np.ndarray:
-        """Bounding-generalization NCP of merging ``worst`` with each cluster."""
-        cost = np.zeros(self._n)
+    def relational_scores(self, slot: int) -> np.ndarray:
+        """Per slot, the bounding-generalization NCP of merging it with ``slot``."""
+        cost = np.zeros(self._capacity)
         for spec in self._relational:
             if spec[0] == "num":
                 _, span, lo, hi = spec
-                width = np.maximum(hi, hi[worst]) - np.minimum(lo, lo[worst])
+                width = np.maximum(hi, hi[slot]) - np.minimum(lo, lo[slot])
                 cost += np.maximum(width, 0.0) / span
             else:
-                _, denominator, bits, hierarchy, _reps, width_memo, _ = spec
-                counts = popcount_rows(bits | bits[worst])
+                _, denominator, bits, codes, reps = spec
+                counts = popcount_rows(bits | bits[slot])
                 width = counts.astype(np.float64)
-                if hierarchy is not None:
-                    for partner in np.flatnonzero(counts > 1):
-                        rep = self._merged_rep(spec, worst, int(partner))
-                        leaf_count = width_memo.get(rep)
-                        if leaf_count is None:
-                            leaf_count = hierarchy.leaf_count(rep)
-                            width_memo[rep] = leaf_count
-                        width[partner] = leaf_count
+                if codes is not None:
+                    merged = self._merged_reps(codes, reps, slot)
+                    width = np.where(counts > 1, codes.leaf_count[merged], width)
                 cost += (width - 1.0) / denominator
         return cost / self._n_attributes
 
-    def transaction_scores(self, worst: int) -> np.ndarray:
-        """Jaccard distance between ``worst``'s item set and each cluster's."""
+    def transaction_scores(self, slot: int) -> np.ndarray:
+        """Per slot, the Jaccard distance of its item set to ``slot``'s."""
         bits = self._transaction_bits
-        intersection = popcount_rows(bits & bits[worst])
-        union = popcount_rows(bits | bits[worst])
-        cost = np.zeros(self._n)
+        intersection = popcount_rows(bits & bits[slot])
+        union = popcount_rows(bits | bits[slot])
+        cost = np.zeros(len(bits))
         covered = union > 0
         cost[covered] = 1.0 - intersection[covered] / union[covered]
         return cost
 
     def best_partner(self, worst: int) -> int:
-        """The cheapest merge partner under the bounding method's strategy."""
+        """The cheapest merge partner's position under the bounding method's strategy."""
+        slot = self._slots[worst]
         if self._strategy == "r":
-            scores = self.relational_scores(worst)
+            scores = self.relational_scores(slot)
         elif self._strategy == "t":
-            scores = self.transaction_scores(worst)
+            scores = self.transaction_scores(slot)
         else:
-            scores = 0.5 * self.relational_scores(worst) + 0.5 * self.transaction_scores(
-                worst
-            )
+            scores = 0.5 * self.relational_scores(slot) + 0.5 * self.transaction_scores(slot)
+        scores = scores[self._slots]
         scores[worst] = np.inf
         return int(np.argmin(scores))
 
     # -- update --------------------------------------------------------------------
     def merge(self, worst: int, partner: int) -> None:
-        """Combine two clusters' summaries, mirroring ``keep + [merged]`` order."""
-        keep = [p for p in range(self._n) if p not in (worst, partner)]
+        """Fold ``partner`` into ``worst``'s slot; positions become ``keep + [merged]``."""
+        slot, other = self._slots[worst], self._slots[partner]
         for spec in self._relational:
             if spec[0] == "num":
                 _, _, lo, hi = spec
-                spec[2] = np.append(lo[keep], min(lo[worst], lo[partner]))
-                spec[3] = np.append(hi[keep], max(hi[worst], hi[partner]))
+                lo[slot] = min(lo[slot], lo[other])
+                hi[slot] = max(hi[slot], hi[other])
             else:
-                _, _, bits, hierarchy, reps, _, _ = spec
-                merged_row = bits[worst] | bits[partner]
-                spec[2] = np.vstack([bits[keep], merged_row[None, :]])
-                if reps is not None:
-                    spec[4] = [reps[p] for p in keep] + [
-                        self._merged_rep(spec, worst, partner)
-                    ]
+                _, _, bits, codes, reps = spec
+                if codes is not None and reps[other] >= 0:
+                    if reps[slot] < 0:
+                        reps[slot] = reps[other]
+                    else:
+                        reps[slot] = codes.lowest_common_ancestors(
+                            reps[other : other + 1], int(reps[slot])
+                        )[0]
+                bits[slot] |= bits[other]
         if self._transaction_bits is not None:
-            bits = self._transaction_bits
-            merged_row = bits[worst] | bits[partner]
-            self._transaction_bits = np.vstack([bits[keep], merged_row[None, :]])
-        self._n -= 1
+            self._transaction_bits[slot] |= self._transaction_bits[other]
+        for position in sorted((worst, partner), reverse=True):
+            del self._slots[position]
+        self._slots.append(slot)
 
 
 class RtBoundingAnonymizer(Anonymizer):
@@ -231,10 +275,6 @@ class RtBoundingAnonymizer(Anonymizer):
     data_kind = "rt"
     #: Merge-partner policy: ``"r"``, ``"t"`` or ``"rt"`` (set by subclasses).
     merge_strategy = "rt"
-    #: Choose merge partners through the incremental :class:`_MergeState`
-    #: kernels; the scalar per-partner re-scan (identical output) remains
-    #: behind this switch as the equivalence reference.
-    vectorized_merge = True
 
     def __init__(
         self,
@@ -297,77 +337,12 @@ class RtBoundingAnonymizer(Anonymizer):
 
     # -- phase 2: per-cluster transaction anonymization -----------------------------
     def _default_transaction_factory(self) -> TransactionFactory:
-        def factory(_subset: Dataset) -> Anonymizer:
+        def factory(_dataset: Dataset) -> Anonymizer:
             return AprioriAnonymizer(
                 self.k, self.m, hierarchy=self.item_hierarchy, attribute=self.transaction_attribute
             )
 
         return factory
-
-    def _anonymize_cluster_transactions(
-        self,
-        dataset: Dataset,
-        cluster: Sequence[int],
-        attribute: str,
-        factory: TransactionFactory,
-    ) -> tuple[list[frozenset], float]:
-        """Anonymize one cluster's transaction projection; return itemsets and UL."""
-        subset = dataset.subset(cluster)
-        algorithm = factory(subset)
-        result = algorithm.anonymize(subset)
-        itemsets = [record[attribute] for record in result.dataset]
-        loss = utility_loss(
-            subset, result.dataset, attribute=attribute, hierarchy=self.item_hierarchy
-        )
-        return itemsets, loss
-
-    # -- phase 3: merging ---------------------------------------------------------
-    def _cluster_items(self, dataset: Dataset, cluster: Sequence[int], attribute: str) -> set:
-        items: set = set()
-        for index in cluster:
-            items |= set(dataset[index][attribute])
-        return items
-
-    def _relational_merge_cost(
-        self,
-        helper: ClusterAnonymizer,
-        dataset: Dataset,
-        attributes: Sequence[str],
-        cluster_a: Sequence[int],
-        cluster_b: Sequence[int],
-    ) -> float:
-        merged = list(cluster_a) + list(cluster_b)
-        return helper._cluster_cost(dataset, list(attributes), merged)
-
-    def _transaction_merge_cost(
-        self, dataset: Dataset, cluster_a: Sequence[int], cluster_b: Sequence[int], attribute: str
-    ) -> float:
-        items_a = self._cluster_items(dataset, cluster_a, attribute)
-        items_b = self._cluster_items(dataset, cluster_b, attribute)
-        union = items_a | items_b
-        if not union:
-            return 0.0
-        jaccard = len(items_a & items_b) / len(union)
-        return 1.0 - jaccard
-
-    def _merge_score(
-        self,
-        helper: ClusterAnonymizer,
-        dataset: Dataset,
-        attributes: Sequence[str],
-        attribute: str,
-        cluster_a: Sequence[int],
-        cluster_b: Sequence[int],
-    ) -> float:
-        if self.merge_strategy == "r":
-            return self._relational_merge_cost(helper, dataset, attributes, cluster_a, cluster_b)
-        if self.merge_strategy == "t":
-            return self._transaction_merge_cost(dataset, cluster_a, cluster_b, attribute)
-        relational = self._relational_merge_cost(
-            helper, dataset, attributes, cluster_a, cluster_b
-        )
-        transactional = self._transaction_merge_cost(dataset, cluster_a, cluster_b, attribute)
-        return 0.5 * relational + 0.5 * transactional
 
     # -- main -----------------------------------------------------------------------
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
@@ -383,58 +358,48 @@ class RtBoundingAnonymizer(Anonymizer):
             clusters, helper = self._initial_clusters(dataset, attributes)
         initial_clusters = len(clusters)
 
+        algorithm = factory(dataset)
+
+        def anonymize_cluster(cluster: Sequence[int]) -> tuple[list, float]:
+            return algorithm.anonymize_rows(dataset, cluster, self.item_hierarchy, attribute)
+
         with timer.phase("transaction anonymization"):
-            outputs: list[tuple[list[frozenset], float]] = [
-                self._anonymize_cluster_transactions(dataset, cluster, attribute, factory)
-                for cluster in clusters
-            ]
+            outputs = [anonymize_cluster(cluster) for cluster in clusters]
 
         merges = 0
         merge_budget = self.max_merges if self.max_merges is not None else len(clusters)
         state: _MergeState | None = None
+        losses = [loss for _, loss in outputs]
         with timer.phase("cluster merging"):
             while len(clusters) > 1 and merges < merge_budget:
-                losses = [loss for _, loss in outputs]
-                worst = max(range(len(clusters)), key=lambda position: losses[position])
-                if losses[worst] <= self.delta:
+                worst_loss = max(losses)
+                if worst_loss <= self.delta:
                     break
-                if self.vectorized_merge:
-                    if state is None:
-                        state = _MergeState(
-                            self.merge_strategy, helper, dataset, attributes, attribute, clusters
-                        )
-                    partner = state.best_partner(worst)
-                else:
-                    candidates = [
-                        position for position in range(len(clusters)) if position != worst
-                    ]
-                    partner = min(
-                        candidates,
-                        key=lambda position: self._merge_score(
-                            helper, dataset, attributes, attribute, clusters[worst], clusters[position]
-                        ),
+                worst = losses.index(worst_loss)  # the first worst cluster
+                if state is None:
+                    state = _MergeState(
+                        self.merge_strategy, helper, dataset, attributes, attribute, clusters
                     )
+                partner = state.best_partner(worst)
                 merged_cluster = sorted(clusters[worst] + clusters[partner])
-                keep = [
-                    position
-                    for position in range(len(clusters))
-                    if position not in (worst, partner)
-                ]
-                clusters = [clusters[position] for position in keep] + [merged_cluster]
-                outputs = [outputs[position] for position in keep] + [
-                    self._anonymize_cluster_transactions(dataset, merged_cluster, attribute, factory)
-                ]
-                if state is not None:
-                    state.merge(worst, partner)
+                # The other clusters keep their order; the merged one goes last.
+                for position in sorted((worst, partner), reverse=True):
+                    del clusters[position], outputs[position], losses[position]
+                clusters.append(merged_cluster)
+                outputs.append(anonymize_cluster(merged_cluster))
+                losses.append(outputs[-1][1])
+                state.merge(worst, partner)
                 merges += 1
 
         with timer.phase("apply"):
             anonymized = helper.generalize_clusters(
                 dataset, clusters, attributes, name_suffix=self.name
             )
+            column = dataset.column(attribute)
             for cluster, (itemsets, _loss) in zip(clusters, outputs):
-                for position, index in enumerate(cluster):
-                    anonymized.set_value(index, attribute, itemsets[position])
+                for index, itemset in zip(cluster, itemsets):
+                    column[index] = itemset
+            anonymized.set_column(attribute, column)
 
         relational_gcp = global_certainty_penalty(
             dataset, anonymized, attributes=attributes, hierarchies=self.hierarchies

@@ -25,16 +25,43 @@ The hierarchy's parent, subtree-leaf and tie-break rank tables are built on
 first use and memoized per :class:`~repro.hierarchy.hierarchy.Hierarchy`.
 :class:`KmAnonymityChecker` is the plain per-transaction reference check the
 search is tested against.
+
+:class:`CutAnonymizer` is the one execution path of the three algorithms.
+They anonymize a *row slice* of a parent dataset — all rows for
+``anonymize``, one cluster's rows inside the RT bounding loop — reading the
+rows' itemsets from the parent instead of building a subset.
+:func:`cut_utility_loss` then prices the slice from the parent's CSR column
+and the per-item charge of each item's cut node, with the result
+:func:`~repro.metrics.transaction.utility_loss` gives on the materialized
+subset, bit for bit.
 """
 
 from __future__ import annotations
 
+import abc
 import itertools
 import weakref
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
+from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
+from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError
 from repro.hierarchy.hierarchy import Hierarchy
+from repro.index import generalization_cost
+from repro.metrics.interpretation import SUPPRESSED, is_item_group
+
+# The matrix guards decide whether utility_loss sums with NumPy or in a
+# per-record loop; the cut-based sum must reproduce the NumPy branch only.
+from repro.metrics.transaction import (
+    _MAX_CHARGE_MATRIX_CELLS,
+    _MAX_OCCURRENCE_PAIRS,
+    utility_loss,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.columnar.column import TransactionColumn
 
 
 class _HierarchyTables:
@@ -403,3 +430,177 @@ def greedy_km_anonymize(
         ),
     }
     return cut, statistics
+
+
+def cut_utility_loss(
+    column: TransactionColumn,
+    rows: Sequence[int],
+    outputs: Sequence[frozenset],
+    cuts: Sequence[ItemCut | None],
+    hierarchy: Hierarchy,
+) -> float | None:
+    """UL of a row slice generalized through item cuts, without building it.
+
+    ``column`` is the parent dataset's transaction column, ``outputs[i]`` the
+    generalized itemset of parent row ``rows[i]`` and ``cuts[i]`` the cut over
+    ``hierarchy`` it went through (``None`` for a suppressed, empty row).
+    The result equals ``utility_loss(parent.subset(rows), anonymized,
+    hierarchy=hierarchy)`` for ``anonymized`` holding ``outputs``, bit for
+    bit: the charges are summed in the same occurrence order (rows in slice
+    order, items in token order), suppressed occurrences are added first at
+    1 each, and the denominator is the slice's own item universe.
+
+    The nodes a cut uses never lie on one root path, so within a row only an
+    item's own cut node covers it, and the occurrence costs that node's
+    clamped charge.  Returns ``None`` — the caller then materializes the
+    slice — when ``utility_loss`` would not read a node's label as that node
+    (the suppression marker or an item-group label) or would take its
+    per-record fallback.
+    """
+    row_ids = np.asarray(rows, dtype=np.int64)
+    starts = column.indptr[row_ids]
+    lengths = column.indptr[row_ids + 1] - starts
+    total_items = int(lengths.sum())
+    if total_items == 0:
+        return 0.0
+    output_lengths = np.fromiter(map(len, outputs), dtype=np.int64, count=len(outputs))
+    labels: set[str] = set().union(*outputs)
+    if any(label == SUPPRESSED or is_item_group(label) for label in labels):
+        return None
+    positions = np.arange(total_items, dtype=np.int64) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths
+    )
+    present, local = np.unique(column.tokens[positions], return_inverse=True)
+    if (
+        len(labels) * len(present) > _MAX_CHARGE_MATRIX_CELLS
+        or int((lengths * output_lengths).sum()) > _MAX_OCCURRENCE_PAIRS
+    ):
+        return None
+    vocabulary = column.vocabulary.items
+    items = [vocabulary[token] for token in present.tolist()]
+    leaves = _tables(hierarchy).leaves
+    charge_of = {
+        label: min(1.0, generalization_cost(len(leaves[label]), len(items)))
+        for label in labels
+    }
+
+    # One charge row per distinct cut, over the slice's items; an item of
+    # another cut's rows (an LRA partition) is never read.
+    codes: dict[int, int] = {}
+    row_codes = np.zeros(len(row_ids), dtype=np.int64)
+    charge_rows: list[list[float]] = []
+    for position, cut in enumerate(cuts):
+        if cut is None:
+            continue
+        code = codes.get(id(cut))
+        if code is None:
+            mapping = cut.mapping
+            code = codes[id(cut)] = len(charge_rows)
+            charge_rows.append(
+                [charge_of[mapping[item]] if item in mapping else 1.0 for item in items]
+            )
+        row_codes[position] = code
+
+    # Charges are clamped already, so the sum sees the values utility_loss
+    # clamps with np.minimum, in the same order.
+    paired = np.repeat(output_lengths > 0, lengths)
+    value = float(total_items - int(np.count_nonzero(paired)))
+    if charge_rows:
+        table = np.array(charge_rows, dtype=np.float64)
+        occurrence_charges = table[np.repeat(row_codes, lengths)[paired], local[paired]]
+        if occurrence_charges.size:
+            value += float(occurrence_charges.sum())
+    return value / total_items
+
+
+class CutAnonymizer(Anonymizer):
+    """One path for the hierarchy-cut algorithms: whole datasets and row slices.
+
+    Subclasses (Apriori, LRA, VPA) implement :meth:`_search`, which turns a
+    slice's itemsets into generalized itemsets plus, per row, the cut that
+    produced them.  :meth:`_anonymize_all` runs it over every row and writes
+    the column once; :meth:`anonymize_rows` runs it over one cluster of a
+    parent dataset and prices the result with :func:`cut_utility_loss`.
+    Each subclass keeps an ``anonymize`` of its own that delegates to
+    :meth:`_anonymize_all`, so per-class instrumentation (the tracer of
+    ``perfbench/``) finds the method on the class it names.
+    """
+
+    data_kind = "transaction"
+    k: int
+    m: int
+    hierarchy: Hierarchy | None
+    attribute: str | None
+
+    @abc.abstractmethod
+    def _search(
+        self, itemsets: list[frozenset], attribute: str, timer: PhaseTimer
+    ) -> tuple[list[frozenset], list[ItemCut | None], Hierarchy, dict]:
+        """``(outputs, cuts, hierarchy, statistics)`` for one slice's itemsets."""
+
+    @staticmethod
+    def _generalize(
+        itemsets: Sequence[frozenset], cut: ItemCut | None
+    ) -> tuple[list[frozenset], list[ItemCut | None]]:
+        """Each itemset through ``cut`` (``None``: suppressed), with its per-row cut."""
+        if cut is None:
+            return [frozenset()] * len(itemsets), [None] * len(itemsets)
+        images = cut.generalization_map(itemsets)
+        return [images[itemset] for itemset in itemsets], [cut] * len(itemsets)
+
+    def _anonymize_slice(
+        self, parent: Dataset, rows: Sequence[int], attribute: str, timer: PhaseTimer
+    ) -> tuple[list[frozenset], Hierarchy, float | None, dict]:
+        """Outputs, hierarchy, cut-based UL (``None``: materialize) and statistics."""
+        records = parent.records
+        itemsets = [records[row][attribute] for row in rows]
+        outputs, cuts, hierarchy, statistics = self._search(itemsets, attribute, timer)
+        loss = cut_utility_loss(parent.columnar(attribute), rows, outputs, cuts, hierarchy)
+        return outputs, hierarchy, loss, statistics
+
+    def _anonymize_all(self, dataset: Dataset) -> AnonymizationResult:
+        """``anonymize``: every row as one slice, written back with one ``set_column``."""
+        attribute = self.attribute or dataset.single_transaction_attribute()
+        timer = PhaseTimer()
+        outputs, hierarchy, loss, statistics = self._anonymize_slice(
+            dataset, range(len(dataset)), attribute, timer
+        )
+        with timer.phase("apply"):
+            anonymized = dataset.copy(name=f"{dataset.name}[{self.name}]")
+            anonymized.set_column(attribute, outputs)
+        if loss is None:
+            loss = utility_loss(dataset, anonymized, attribute=attribute, hierarchy=hierarchy)
+        statistics["utility_loss"] = loss
+        return AnonymizationResult(
+            dataset=anonymized,
+            algorithm=self.name,
+            parameters=self.parameters(),
+            runtime_seconds=timer.total,
+            phase_seconds=timer.phases,
+            statistics=statistics,
+        )
+
+    def anonymize_rows(
+        self,
+        parent: Dataset,
+        rows: Sequence[int],
+        ul_hierarchy: Hierarchy | None = None,
+        attribute: str | None = None,
+    ) -> tuple[list[frozenset], float]:
+        attribute = attribute or parent.single_transaction_attribute()
+        own_attribute = self.attribute or parent.single_transaction_attribute()
+        if (
+            self.hierarchy is None
+            or self.hierarchy is not ul_hierarchy
+            or own_attribute != attribute
+        ):
+            # The UL reads labels through a hierarchy the cut was not made
+            # over (or prices another attribute): take the subset path.
+            return super().anonymize_rows(parent, rows, ul_hierarchy, attribute)
+        outputs, _, loss, _ = self._anonymize_slice(parent, rows, attribute, PhaseTimer())
+        if loss is None:
+            subset = parent.subset(rows)
+            anonymized = subset.copy()
+            anonymized.set_column(attribute, outputs)
+            loss = utility_loss(subset, anonymized, attribute=attribute, hierarchy=ul_hierarchy)
+        return outputs, loss

@@ -15,20 +15,22 @@ reported in the result statistics.
 
 from __future__ import annotations
 
-from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
-from repro.algorithms.transaction._itemcut import greedy_km_anonymize
+from repro.algorithms.base import AnonymizationResult, PhaseTimer
+from repro.algorithms.transaction._itemcut import (
+    CutAnonymizer,
+    ItemCut,
+    greedy_km_anonymize,
+)
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
 from repro.hierarchy.builders import build_item_hierarchy
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.metrics.transaction import utility_loss
 
 
-class AprioriAnonymizer(Anonymizer):
+class AprioriAnonymizer(CutAnonymizer):
     """k^m-anonymity via apriori-style global full-subtree generalization."""
 
     name = "apriori"
-    data_kind = "transaction"
 
     def __init__(
         self,
@@ -51,10 +53,9 @@ class AprioriAnonymizer(Anonymizer):
     def parameters(self) -> dict:
         return {"k": self.k, "m": self.m, "attribute": self.attribute}
 
-    def _resolve_hierarchy(self, dataset: Dataset, attribute: str) -> Hierarchy:
+    def _resolve_hierarchy(self, universe: set[str], attribute: str) -> Hierarchy:
         if self.hierarchy is not None:
             return self.hierarchy
-        universe = dataset.item_universe(attribute)
         if not universe:
             raise AlgorithmError("AprioriAnonymizer: the transaction attribute is empty")
         return build_item_hierarchy(
@@ -62,36 +63,18 @@ class AprioriAnonymizer(Anonymizer):
         )
 
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
-        attribute = self.attribute or dataset.single_transaction_attribute()
-        timer = PhaseTimer()
+        return self._anonymize_all(dataset)
+
+    def _search(
+        self, itemsets: list[frozenset], attribute: str, timer: PhaseTimer
+    ) -> tuple[list[frozenset], list[ItemCut | None], Hierarchy, dict]:
         with timer.phase("hierarchy"):
-            hierarchy = self._resolve_hierarchy(dataset, attribute)
-        itemsets = [record[attribute] for record in dataset]
+            hierarchy = self._resolve_hierarchy(set().union(*itemsets), attribute)
 
         with timer.phase("apriori search"):
             cut, search_statistics = greedy_km_anonymize(itemsets, hierarchy, self.k, self.m)
 
-        suppressed_everything = False
-        with timer.phase("apply"):
-            anonymized = dataset.copy(name=f"{dataset.name}[apriori]")
-            if search_statistics["unresolvable_violations"]:
-                anonymized.map_column(attribute, lambda _items: [])
-                suppressed_everything = True
-            else:
-                anonymized.map_column(attribute, cut.generalization_map(itemsets).__getitem__)
-
-        statistics = {
-            **search_statistics,
-            "suppressed_everything": suppressed_everything,
-            "utility_loss": utility_loss(
-                dataset, anonymized, attribute=attribute, hierarchy=hierarchy
-            ),
-        }
-        return AnonymizationResult(
-            dataset=anonymized,
-            algorithm=self.name,
-            parameters=self.parameters(),
-            runtime_seconds=timer.total,
-            phase_seconds=timer.phases,
-            statistics=statistics,
-        )
+        suppressed_everything = bool(search_statistics["unresolvable_violations"])
+        outputs, cuts = self._generalize(itemsets, None if suppressed_everything else cut)
+        statistics = {**search_statistics, "suppressed_everything": suppressed_everything}
+        return outputs, cuts, hierarchy, statistics

@@ -13,20 +13,22 @@ or at least ``k`` candidate records, so the total is 0 or at least ``k``.
 
 from __future__ import annotations
 
-from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
-from repro.algorithms.transaction._itemcut import greedy_km_anonymize
+from repro.algorithms.base import AnonymizationResult, PhaseTimer
+from repro.algorithms.transaction._itemcut import (
+    CutAnonymizer,
+    ItemCut,
+    greedy_km_anonymize,
+)
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
 from repro.hierarchy.builders import build_item_hierarchy
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.metrics.transaction import utility_loss
 
 
-class LraAnonymizer(Anonymizer):
+class LraAnonymizer(CutAnonymizer):
     """k^m-anonymity through per-partition (local) full-subtree recoding."""
 
     name = "lra"
-    data_kind = "transaction"
 
     def __init__(
         self,
@@ -63,14 +65,12 @@ class LraAnonymizer(Anonymizer):
         """Records per partition: the configured size (or default), at least ``k``."""
         return max(self.partition_size or max(8 * self.k, 100), self.k)
 
-    def _partition(self, dataset: Dataset, attribute: str) -> list[list[int]]:
-        """Group records into similarity-sorted partitions of bounded size."""
+    def _partition(self, itemsets: list[frozenset]) -> list[list[int]]:
+        """Group row positions into similarity-sorted partitions of bounded size."""
         size = self._partition_size_target()
         # Sort records by their sorted itemsets so that neighbouring records
         # share items (the "horizontal partitioning" of the paper).
-        order = sorted(
-            range(len(dataset)), key=lambda index: sorted(dataset[index][attribute])
-        )
+        order = sorted(range(len(itemsets)), key=lambda index: sorted(itemsets[index]))
         partitions = [order[i : i + size] for i in range(0, len(order), size)]
         if len(partitions) > 1 and len(partitions[-1]) < self.k:
             tail = partitions.pop()
@@ -78,9 +78,12 @@ class LraAnonymizer(Anonymizer):
         return partitions
 
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
-        attribute = self.attribute or dataset.single_transaction_attribute()
-        timer = PhaseTimer()
-        universe = dataset.item_universe(attribute)
+        return self._anonymize_all(dataset)
+
+    def _search(
+        self, itemsets: list[frozenset], attribute: str, timer: PhaseTimer
+    ) -> tuple[list[frozenset], list[ItemCut | None], Hierarchy, dict]:
+        universe = set().union(*itemsets)
         if not universe:
             raise AlgorithmError("LraAnonymizer: the transaction attribute is empty")
         with timer.phase("hierarchy"):
@@ -89,42 +92,28 @@ class LraAnonymizer(Anonymizer):
             )
 
         with timer.phase("partitioning"):
-            partitions = self._partition(dataset, attribute)
+            partitions = self._partition(itemsets)
 
-        anonymized = dataset.copy(name=f"{dataset.name}[lra]")
-        original = dataset.column(attribute)
-        column = list(original)
+        outputs: list[frozenset] = list(itemsets)
+        cuts: list[ItemCut | None] = [None] * len(itemsets)
         generalization_steps = 0
         suppressed_partitions = 0
         with timer.phase("local recoding"):
             for partition in partitions:
-                itemsets = [original[index] for index in partition]
-                cut, statistics = greedy_km_anonymize(itemsets, hierarchy, self.k, self.m)
+                members = [itemsets[index] for index in partition]
+                cut, statistics = greedy_km_anonymize(members, hierarchy, self.k, self.m)
                 generalization_steps += statistics["generalization_steps"]
-                if statistics["unresolvable_violations"]:
-                    suppressed_partitions += 1
-                    for index in partition:
-                        column[index] = frozenset()
-                    continue
-                images = cut.generalization_map(itemsets)
-                for index in partition:
-                    column[index] = images[original[index]]
-            anonymized.set_column(attribute, column)
+                suppressed = bool(statistics["unresolvable_violations"])
+                suppressed_partitions += int(suppressed)
+                images, member_cuts = self._generalize(members, None if suppressed else cut)
+                for index, image, member_cut in zip(partition, images, member_cuts):
+                    outputs[index] = image
+                    cuts[index] = member_cut
 
         statistics = {
             "partitions": len(partitions),
             "partition_size_target": self._partition_size_target(),
             "generalization_steps": generalization_steps,
             "suppressed_partitions": suppressed_partitions,
-            "utility_loss": utility_loss(
-                dataset, anonymized, attribute=attribute, hierarchy=hierarchy
-            ),
         }
-        return AnonymizationResult(
-            dataset=anonymized,
-            algorithm=self.name,
-            parameters=self.parameters(),
-            runtime_seconds=timer.total,
-            phase_seconds=timer.phases,
-            statistics=statistics,
-        )
+        return outputs, cuts, hierarchy, statistics

@@ -16,20 +16,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import AnonymizationResult, Anonymizer, PhaseTimer
-from repro.algorithms.transaction._itemcut import ItemCut, greedy_km_anonymize
+from repro.algorithms.base import AnonymizationResult, PhaseTimer
+from repro.algorithms.transaction._itemcut import (
+    CutAnonymizer,
+    ItemCut,
+    greedy_km_anonymize,
+)
 from repro.datasets.dataset import Dataset
 from repro.exceptions import AlgorithmError, ConfigurationError
 from repro.hierarchy.builders import build_item_hierarchy
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.metrics.transaction import utility_loss
 
 
-class VpaAnonymizer(Anonymizer):
+class VpaAnonymizer(CutAnonymizer):
     """k^m-anonymity via vertical partitioning plus a global repair pass."""
 
     name = "vpa"
-    data_kind = "transaction"
 
     def __init__(
         self,
@@ -70,9 +72,12 @@ class VpaAnonymizer(Anonymizer):
         ]
 
     def anonymize(self, dataset: Dataset) -> AnonymizationResult:
-        attribute = self.attribute or dataset.single_transaction_attribute()
-        timer = PhaseTimer()
-        universe = dataset.item_universe(attribute)
+        return self._anonymize_all(dataset)
+
+    def _search(
+        self, itemsets: list[frozenset], attribute: str, timer: PhaseTimer
+    ) -> tuple[list[frozenset], list[ItemCut | None], Hierarchy, dict]:
+        universe = set().union(*itemsets)
         if not universe:
             raise AlgorithmError("VpaAnonymizer: the transaction attribute is empty")
         with timer.phase("hierarchy"):
@@ -80,7 +85,6 @@ class VpaAnonymizer(Anonymizer):
                 universe, fanout=self.hierarchy_fanout, attribute=attribute
             )
 
-        itemsets = [record[attribute] for record in dataset]
         cut = ItemCut(hierarchy, universe)
 
         with timer.phase("per-part anonymization"):
@@ -101,30 +105,13 @@ class VpaAnonymizer(Anonymizer):
                 itemsets, hierarchy, self.k, self.m, cut=cut
             )
 
-        suppressed_everything = False
-        with timer.phase("apply"):
-            anonymized = dataset.copy(name=f"{dataset.name}[vpa]")
-            if repair_statistics["unresolvable_violations"]:
-                anonymized.map_column(attribute, lambda _items: [])
-                suppressed_everything = True
-            else:
-                anonymized.map_column(attribute, cut.generalization_map(itemsets).__getitem__)
-
+        suppressed_everything = bool(repair_statistics["unresolvable_violations"])
+        outputs, cuts = self._generalize(itemsets, None if suppressed_everything else cut)
         statistics = {
             "parts": len(parts),
             "part_generalization_steps": part_steps,
             "repair_generalization_steps": repair_statistics["generalization_steps"],
             "final_nodes": repair_statistics["final_nodes"],
             "suppressed_everything": suppressed_everything,
-            "utility_loss": utility_loss(
-                dataset, anonymized, attribute=attribute, hierarchy=hierarchy
-            ),
         }
-        return AnonymizationResult(
-            dataset=anonymized,
-            algorithm=self.name,
-            parameters=self.parameters(),
-            runtime_seconds=timer.total,
-            phase_seconds=timer.phases,
-            statistics=statistics,
-        )
+        return outputs, cuts, hierarchy, statistics

@@ -9,9 +9,10 @@ reference element-for-element:
 * ``RelationalLossContext.dataset_ncp_values`` vs the ``record_ncp`` loop,
 * ``equivalence_class_sizes`` vs ``Dataset.group_by``,
 * ``_ClusterKernel.costs`` vs ``_ClusterBounds.cost_with``,
-* ``_MergeState`` scores vs ``RtBoundingAnonymizer._merge_score``,
-* the full Rmerger / Tmerger / RTmerger outputs with and without the
-  vectorized paths.
+* ``_MergeState`` scores vs the scalar ``merge_score`` of
+  ``rt_reference.py``,
+* the full Rmerger / Tmerger / RTmerger outputs against the scalar bounding
+  loop of ``rt_reference.py`` with the scalar clustering loop.
 
 The generated datasets deliberately include missing cells (``None``),
 all-``None`` columns, single-value domains, generalized interval/group/root
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rt_reference import merge_score, reference_anonymize
 
 from repro.algorithms import ClusterAnonymizer, Rmerger, RTmerger, Tmerger
 from repro.algorithms.relational.cluster import _ClusterBounds, _ClusterKernel
@@ -311,8 +313,8 @@ class TestMergeKernels:
             worst = len(clusters) - 1
             partner = state.best_partner(worst)
             scalar = [
-                algorithm._merge_score(
-                    helper, dataset, attributes, "Items",
+                merge_score(
+                    algorithm.merge_strategy, helper, dataset, attributes, "Items",
                     clusters[worst], clusters[position],
                 )
                 for position in range(len(clusters))
@@ -342,15 +344,15 @@ class TestMergeKernels:
         item_hierarchy = build_item_hierarchy(rt.item_universe("Items"), fanout=3)
         fast = merger(k=3, m=2, delta=0.3, item_hierarchy=item_hierarchy)
         slow = merger(k=3, m=2, delta=0.3, item_hierarchy=item_hierarchy)
-        slow.vectorized_merge = False
         slow_cluster = ClusterAnonymizer(3)
         slow_cluster.vectorized = False
         slow.relational_algorithm = slow_cluster
         fast_result = fast.anonymize(rt)
-        slow_result = slow.anonymize(rt)
-        assert fast_result.dataset.to_rows() == slow_result.dataset.to_rows()
+        slow_dataset, slow_statistics = reference_anonymize(slow, rt)
+        assert fast_result.dataset.to_rows() == slow_dataset.to_rows()
         assert (
             fast_result.statistics["cluster_assignment"]
-            == slow_result.statistics["cluster_assignment"]
+            == slow_statistics["cluster_assignment"]
         )
-        assert fast_result.statistics["merges"] == slow_result.statistics["merges"]
+        assert fast_result.statistics["merges"] == slow_statistics["merges"]
+        assert fast_result.statistics["merges"] > 0
