@@ -5,7 +5,9 @@ mutator invalidates the affected entries.  A write to ``_records`` /
 ``_columnar`` / ``_schema`` (or a call to the private ``Record`` mutators)
 from anywhere else can leave the cache describing records that no longer
 exist — the bug class PR 3's columnar kernels made possible and PR 5's
-universe-aware estimation made expensive to debug.
+universe-aware estimation made expensive to debug.  The ``_rows`` /
+``_encoded`` state behind ``_records`` is protected the same way: an encoded
+dataset decodes through ``_records`` before its rows can be touched.
 """
 
 from __future__ import annotations

@@ -304,24 +304,25 @@ def _item_sizes_kernel(
             support_memo[combo] = support
         return support
 
+    # One outcome per distinct original itemset, gathered per record.
+    itemsets, codes = original.column_codes(attribute)
     basket_memo: dict[frozenset, tuple[int, tuple[str, ...] | None, bool]] = {}
-    sizes: list[int] = []
-    knowledge: dict[int, tuple[str, ...]] = {}
-    truncated = False
-    for index, record in enumerate(original):
-        basket = frozenset(
-            str(item) for item in record[attribute] if str(item) in token_of
-        )
+    outcomes: list[tuple[int, tuple[str, ...] | None, bool]] = []
+    for itemset in itemsets:
+        basket = frozenset(str(item) for item in itemset if str(item) in token_of)
         outcome = basket_memo.get(basket)
         if outcome is None:
             outcome = best_knowledge(basket, m, support_of, cap=knowledge_cap)
             basket_memo[basket] = outcome
-        best, witness, hit_cap = outcome
-        sizes.append(best)
-        if witness is not None:
-            knowledge[index] = witness
-        truncated = truncated or hit_cap
-    return sizes, knowledge, truncated
+        outcomes.append(outcome)
+    per_record = [outcomes[code] for code in codes.tolist()]
+    knowledge = {
+        index: witness
+        for index, (_, witness, _) in enumerate(per_record)
+        if witness is not None
+    }
+    truncated = any(hit_cap for _, _, hit_cap in outcomes)
+    return [best for best, _, _ in per_record], knowledge, truncated
 
 
 def item_attack(

@@ -49,7 +49,11 @@ def empty_bitset(n_bits: int) -> np.ndarray:
 def bitset_from_indices(indices: Iterable[int], n_bits: int) -> np.ndarray:
     """Pack an iterable of bit positions into a bitset of capacity ``n_bits``."""
     bits = empty_bitset(n_bits)
-    positions = np.fromiter((int(i) for i in indices), dtype=np.int64)
+    positions = (
+        indices.astype(np.int64)
+        if isinstance(indices, np.ndarray)
+        else np.fromiter((int(i) for i in indices), dtype=np.int64)
+    )
     if positions.size:
         np.bitwise_or.at(
             bits,

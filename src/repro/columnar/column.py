@@ -10,7 +10,9 @@ cached on the column:
 
 * :meth:`bitset_postings` — per-token record bitsets (the inverted index),
 * :meth:`occurrence_join` — the record-aligned (occurrence, label) pair
-  expansion the transaction metrics reduce over with ``minimum.reduceat``.
+  expansion the transaction metrics reduce over with ``minimum.reduceat``,
+* :meth:`candidate_matrix` — per original item, the records whose labels may
+  stand for it (the k^m check's and the attacks' view of an output).
 
 A column is a snapshot: :meth:`repro.datasets.dataset.Dataset.columnar`
 caches one per attribute and drops it on any dataset mutation.
@@ -18,15 +20,17 @@ caches one per attribute and drops it on any dataset mutation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.columnar.bitset import posting_matrix
+from repro.columnar.bitset import posting_matrix, word_count
 from repro.columnar.vocabulary import ItemVocabulary
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dataset ↔ columnar)
     from repro.datasets.dataset import Dataset
+    from repro.index.interpreter import LabelInterpreter
 
 
 class TransactionColumn:
@@ -39,6 +43,7 @@ class TransactionColumn:
         "attribute",
         "_postings",
         "_join",
+        "_candidates",
     )
 
     def __init__(
@@ -54,36 +59,41 @@ class TransactionColumn:
         self.attribute = attribute
         self._postings: np.ndarray | None = None
         self._join: tuple["TransactionColumn", tuple] | None = None
+        self._candidates: (
+            tuple["LabelInterpreter", tuple[str, ...], np.ndarray] | None
+        ) = None
 
     @classmethod
     def from_dataset(
         cls, dataset: "Dataset", attribute: str | None = None
     ) -> "TransactionColumn":
-        """Tokenize ``attribute`` of ``dataset`` (default: its only transaction one)."""
+        """Tokenize ``attribute`` of ``dataset`` (default: its only transaction one).
+
+        Each distinct itemset (:meth:`Dataset.column_codes`) is tokenized
+        once, and its row is gathered for every record holding it.
+        """
         attribute = attribute or dataset.single_transaction_attribute()
-        itemsets = [record[attribute] for record in dataset]
+        itemsets, codes = dataset.column_codes(attribute)
         vocabulary = ItemVocabulary(
             item for itemset in itemsets for item in itemset
         )
         lookup = vocabulary.token
-        indptr = np.zeros(len(itemsets) + 1, dtype=np.int64)
-        chunks: list[list[int]] = []
-        offset = 0
-        for position, itemset in enumerate(itemsets):
-            # Sorted within the row: frozenset iteration order follows the
-            # per-process hash seed, and any float reduction in occurrence
-            # order (e.g. the UL charge sum) would differ by ulps between
-            # interpreters — breaking byte-identical checkpoint resume.
-            row = sorted(lookup(item) for item in itemset)
-            offset += len(row)
-            indptr[position + 1] = offset
-            chunks.append(row)
-        tokens = np.fromiter(
-            (token for row in chunks for token in row),
-            dtype=np.int32,
-            count=offset,
+        # Sorted within the row: frozenset iteration order follows the
+        # per-process hash seed, and any float reduction in occurrence order
+        # (e.g. the UL charge sum) would differ by ulps between interpreters
+        # — breaking byte-identical checkpoint resume.
+        rows = [sorted(lookup(item) for item in itemset) for itemset in itemsets]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        flat = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int32, count=int(lengths.sum())
         )
-        return cls(vocabulary, indptr, tokens, attribute=attribute)
+        row_lengths = lengths[codes]
+        indptr = np.zeros(len(codes) + 1, dtype=np.int64)
+        np.cumsum(row_lengths, out=indptr[1:])
+        # Position p of record r's row reads flat[start of its itemset + p - indptr[r]].
+        shift = (np.cumsum(lengths) - lengths)[codes] - indptr[:-1]
+        positions = np.arange(indptr[-1], dtype=np.int64) + np.repeat(shift, row_lengths)
+        return cls(vocabulary, indptr, flat[positions], attribute=attribute)
 
     def __repr__(self) -> str:
         return (
@@ -164,3 +174,38 @@ class TransactionColumn:
         result = (flat, segment_starts, unpaired)
         self._join = (source, result)
         return result
+
+    def candidate_matrix(
+        self, interpreter: "LabelInterpreter", ordered_items: Sequence[str]
+    ) -> np.ndarray:
+        """Per-item candidate-record bitsets of this (anonymized) column.
+
+        Row ``t`` is the bitset of records whose itemset holds a label that
+        may stand for ``ordered_items[t]`` — the attacker's view of who could
+        hold the item: the OR of the posting rows of every label whose
+        ``interpreter.restricted_leaves`` contain the item.  Items outside
+        ``ordered_items`` are ignored.  Returns a read-only
+        ``(len(ordered_items), ceil(n_records/64))`` ``uint64`` matrix.
+
+        The matrix depends only on this column and the pair, so it is cached
+        per ``(interpreter, ordered_items)``: the k^m check and the attacks
+        over one output share a single build.
+        """
+        items = tuple(ordered_items)
+        cached = self._candidates
+        if cached is not None and cached[0] is interpreter and cached[1] == items:
+            return cached[2]
+        token_of = {item: token for token, item in enumerate(items)}
+        postings = self.bitset_postings()
+        matrix = np.zeros((len(items), word_count(self.n_records)), dtype=np.uint64)
+        for label_token, label in enumerate(self.vocabulary.items):
+            rows = [
+                token_of[item]
+                for item in interpreter.restricted_leaves(label)
+                if item in token_of
+            ]
+            if rows:
+                matrix[rows] |= postings[label_token]
+        matrix.flags.writeable = False
+        self._candidates = (interpreter, items, matrix)
+        return matrix

@@ -191,17 +191,24 @@ def write_csv_text(
     delimiter: str = ",",
     item_separator: str = DEFAULT_ITEM_SEPARATOR,
 ) -> str:
-    """Serialise a dataset to CSV text (header + one line per record)."""
+    """Serialise a dataset to CSV text (header + one line per record).
+
+    Each distinct cell of a column is formatted once (see
+    :meth:`Dataset.column_codes`), and an encoded dataset is written
+    without decoding its rows.
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     writer.writerow(dataset.schema.names)
-    for record in dataset:
-        writer.writerow(
-            [
-                _format_cell(attribute, record[attribute.name], item_separator)
-                for attribute in dataset.schema
-            ]
-        )
+    columns = []
+    for attribute in dataset.schema:
+        values, codes = dataset.column_codes(attribute.name)
+        texts = [_format_cell(attribute, value, item_separator) for value in values]
+        columns.append(list(map(texts.__getitem__, codes.tolist())))
+    if columns:
+        writer.writerows(zip(*columns))
+    else:
+        writer.writerows([] for _ in range(len(dataset)))
     return buffer.getvalue()
 
 

@@ -12,6 +12,11 @@ A dataset pickles column-encoded instead (distinct cells plus one narrow
 code per record, see :func:`exact_cell_codes`), and an unpickled dataset
 decodes its rows on first row-level access: checkpoint loads and
 process-mode result transfer that never read the rows never build them.
+:meth:`Dataset.copy` returns such an encoded dataset too, and
+:meth:`~Dataset.column`, :meth:`~Dataset.map_column`,
+:meth:`~Dataset.set_column` and the columnar views work on the encoding, so
+an anonymized output that is only measured, exported and stored never
+builds its rows.
 """
 
 from __future__ import annotations
@@ -175,6 +180,11 @@ def _code_dtype(n_distinct: int) -> np.dtype:
     return np.dtype(np.uint32)
 
 
+def _gather(values: tuple, codes: np.ndarray) -> list[Any]:
+    """The per-record cells ``values[codes[i]]`` of one encoded column."""
+    return list(map(values.__getitem__, codes.tolist()))
+
+
 def exact_cell_codes(cells: Sequence[Any]) -> tuple[np.ndarray, tuple]:
     """Per-cell codes over the distinct cells in first-seen order, type-exact.
 
@@ -218,9 +228,10 @@ class Dataset:
     ):
         self._schema = schema if isinstance(schema, Schema) else Schema(schema)
         self.name = name
-        #: ``(names, n_records, columns)`` of an unpickled dataset whose rows
-        #: are not decoded yet (see :meth:`__setstate__`); ``None`` once the
-        #: rows are live.
+        #: ``(names, n_records, columns)`` of a dataset whose rows are not
+        #: decoded yet (unpickled, or made by :meth:`copy`); each column is
+        #: ``(distinct cells, codes)`` as :func:`exact_cell_codes` makes it.
+        #: ``None`` once the rows are live.
         self._encoded: tuple[tuple[str, ...], int, tuple] | None = None
         #: The live rows behind :attr:`_records`; ``None`` while encoded.
         self._rows: list[Record] | None = []
@@ -232,6 +243,8 @@ class Dataset:
         self._version = 0
         #: ``(version, digest)`` cache behind :meth:`fingerprint`.
         self._fingerprint: tuple[int, str] | None = None
+        #: ``(version, encoding)`` cache behind :meth:`_encoding` for live rows.
+        self._encoding_cache: tuple[int, tuple] | None = None
         for row in records:
             self.append(row)
 
@@ -286,13 +299,7 @@ class Dataset:
         # cells (generalized labels, shared itemsets) cost a byte or two and
         # the unpickling side can defer building rows.  Derived caches are
         # dropped and rebuilt on demand.
-        if self._encoded is not None:
-            _, n_records, columns = self._encoded
-        else:
-            n_records = len(self._records)
-            columns = tuple(
-                self._encode_column(attribute) for attribute in self._schema
-            )
+        _, n_records, columns = self._encoding()
         return {
             "schema": self._schema,
             "name": self.name,
@@ -307,25 +314,33 @@ class Dataset:
         self._version = state["version"]
         self._columnar = {}
         self._fingerprint = None
+        self._encoding_cache = None
         # No Record is built here: the first row-level access decodes them
         # (see _records), so callers that only pass the dataset on, count it
         # or pickle it again never pay for the rows.
         self._rows = None
         self._encoded = (self._schema.names, state["n_records"], state["columns"])
 
+    def _encoding(self) -> tuple[tuple[str, ...], int, tuple]:
+        """``(names, n_records, columns)``, each column ``(distinct cells, codes)``.
+
+        An encoded dataset returns its encoding; live rows are encoded once
+        per version (every mutator bumps it) and the result is cached.
+        """
+        if self._encoded is not None:
+            return self._encoded
+        cached = self._encoding_cache
+        if cached is None or cached[0] != self._version:
+            encoding = (
+                tuple(self._schema.names),
+                len(self._records),
+                tuple(self._encode_column(attribute) for attribute in self._schema),
+            )
+            cached = self._encoding_cache = (self._version, encoding)
+        return cached[1]
+
     def _encode_column(self, attribute: Attribute) -> tuple[tuple, np.ndarray]:
         """``(distinct cells, codes)`` of one attribute (see exact_cell_codes)."""
-        column = self._columnar.get(attribute.name)
-        if (
-            column is not None
-            and not attribute.is_transaction
-            and all(type(value) is str or value is None for value in column.values)
-        ):
-            # The cached column's dictionary-key codes are already exact for
-            # str/None cells; only the dtype narrows.  Every mutator drops
-            # the affected cache entries, so the column matches the rows.
-            values = column.values
-            return values, column.codes.astype(_code_dtype(len(values)))
         codes, values = exact_cell_codes(
             [record._values[attribute.name] for record in self._records]
         )
@@ -339,10 +354,11 @@ class Dataset:
                 raise DatasetError("dataset rows are neither live nor encoded")
             names, n_records, columns = self._encoded
             self._rows = records_from_columns(
-                names,
-                [list(map(values.__getitem__, codes.tolist())) for values, codes in columns],
-                n_records,
+                names, [_gather(values, codes) for values, codes in columns], n_records
             )
+            # The rows hold exactly the encoding: it stays valid until the
+            # next mutation, so pickling or copying them encodes nothing.
+            self._encoding_cache = (self._version, self._encoded)
             self._encoded = None
         return self._rows
 
@@ -350,6 +366,26 @@ class Dataset:
     def _records(self, records: list[Record]) -> None:
         self._rows = records
         self._encoded = None
+        self._encoding_cache = None
+
+    def _encoded_column(self, name: str) -> tuple[tuple, np.ndarray] | None:
+        """``(distinct cells, codes)`` of ``name`` while the rows are encoded."""
+        if self._encoded is None:
+            return None
+        names, _, columns = self._encoded
+        return columns[list(names).index(name)]
+
+    def _replace_encoded_column(self, name: str, column: tuple[tuple, np.ndarray]) -> None:
+        """Swap the ``(distinct cells, codes)`` of ``name`` in the encoding."""
+        if self._encoded is None:  # pragma: no cover - callers check first
+            raise DatasetError("dataset rows are not encoded")
+        names, n_records, columns = self._encoded
+        position = list(names).index(name)
+        self._encoded = (
+            names,
+            n_records,
+            columns[:position] + (column,) + columns[position + 1 :],
+        )
 
     # -- accessors -------------------------------------------------------------
     @property
@@ -394,14 +430,15 @@ class Dataset:
         cached = self._fingerprint
         if cached is not None and cached[0] == self._version:
             return cached[1]
+        n_records = len(self)
         digest = hashlib.blake2b(digest_size=20)
-        digest.update(f"dataset-fingerprint:v1:{len(self._records)}".encode())
+        digest.update(f"dataset-fingerprint:v1:{n_records}".encode())
         for attribute in self._schema:
             digest.update(
                 f"\x1e{attribute.name}\x1f{attribute.kind.value}"
                 f"\x1f{int(attribute.quasi_identifier)}\x1f".encode()
             )
-            if not self._records:
+            if not n_records:
                 continue
             column = self.columnar(attribute.name)
             if attribute.is_transaction:
@@ -426,9 +463,31 @@ class Dataset:
         return result
 
     def column(self, name: str) -> list[Any]:
-        """All values of attribute ``name``, in record order."""
+        """All values of attribute ``name``, in record order.
+
+        An encoded dataset gathers them from its codes without decoding rows.
+        """
         self._require_attribute(name)
+        encoded = self._encoded_column(name)
+        if encoded is not None:
+            return _gather(*encoded)
         return [record[name] for record in self._records]
+
+    def column_codes(self, name: str) -> tuple[tuple, np.ndarray]:
+        """``(distinct cells, codes)`` of attribute ``name``.
+
+        The distinct cells are in first-seen record order and told apart
+        type-exactly, with one narrow code per record: the pickled form of
+        the column (see :func:`exact_cell_codes`).  An encoded dataset
+        returns its own encoding without decoding rows; live rows are encoded
+        once per version.  Treat the result as read-only.
+        """
+        self._require_attribute(name)
+        cached = self._encoding_cache
+        if self._encoded is None and (cached is None or cached[0] != self._version):
+            return self._encode_column(self._schema[name])
+        names, _, columns = self._encoding()
+        return columns[list(names).index(name)]
 
     def relational_tuple(self, index: int, names: Sequence[str] | None = None) -> tuple:
         """The relational quasi-identifier values of record ``index``."""
@@ -466,9 +525,15 @@ class Dataset:
         column = self._columnar.get(attribute)
         if column is not None:
             return column.vocabulary.universe()
+        encoded = self._encoded_column(attribute)
+        itemsets = (
+            encoded[0]
+            if encoded is not None
+            else (record[attribute] for record in self._records)
+        )
         universe: set[str] = set()
-        for record in self._records:
-            universe.update(record[attribute])
+        for itemset in itemsets:
+            universe.update(itemset)
         return universe
 
     def columnar(self, attribute: str | None = None):
@@ -560,15 +625,22 @@ class Dataset:
         self._version += 1
 
     def set_column(self, name: str, values: Sequence[Any]) -> None:
-        """Set attribute ``name`` of every record, in record order."""
+        """Set attribute ``name`` of every record, in record order.
+
+        An encoded dataset stays encoded: the new cells are encoded instead
+        of written into rows.
+        """
         self._require_attribute(name)
-        if len(values) != len(self._records):
-            raise DatasetError(
-                f"got {len(values)} values for {len(self._records)} records"
-            )
+        if len(values) != len(self):
+            raise DatasetError(f"got {len(values)} values for {len(self)} records")
         attribute = self._schema[name]
-        for record, value in zip(self._records, values):
-            record._set(name, _normalise_cell(attribute, value))
+        cells = [_normalise_cell(attribute, value) for value in values]
+        if self._encoded is not None:
+            codes, distinct = exact_cell_codes(cells)
+            self._replace_encoded_column(name, (distinct, codes))
+        else:
+            for record, cell in zip(self._records, cells):
+                record._values[name] = cell
         self._columnar.pop(name, None)
         self._version += 1
 
@@ -611,14 +683,20 @@ class Dataset:
 
     # -- transformation -----------------------------------------------------------
     def copy(self, name: str | None = None) -> "Dataset":
-        """An independent copy: fresh ``Record`` containers over shared cell values.
+        """An independent, column-encoded copy over shared cell values.
 
+        The copy holds the source's encoding (see :meth:`column_codes`) and
+        builds rows only on first row-level access.  It starts with the
+        source's cached columnar views: they are immutable derivations of
+        equal content, and each mutator drops only the views it affects.
         Mutating the copy (or the original) never affects the other; the cell
         values themselves are safe to share because they are immutable
         (strings, numbers, ``frozenset`` itemsets).
         """
         clone = Dataset(self._schema, name=name or self.name)
-        clone._records = [_owning_record(record._values.copy()) for record in self._records]
+        clone._rows = None
+        clone._encoded = self._encoding()
+        clone._columnar = dict(self._columnar)
         return clone
 
     def project(self, names: Sequence[str], name: str | None = None) -> "Dataset":
@@ -654,11 +732,31 @@ class Dataset:
         return selected
 
     def map_column(self, name: str, transform: Callable[[Any], Any]) -> None:
-        """Apply ``transform`` to every value of attribute ``name`` in place."""
+        """Apply ``transform`` to every value of attribute ``name`` in place.
+
+        ``transform`` runs once per distinct cell, cells told apart as
+        :func:`exact_cell_codes` does, and every record holding that cell
+        gets the one result: the transform must be a pure function of the
+        cell.  An encoded dataset stays encoded; its new column is
+        re-canonicalized (first-seen order, narrowest code dtype), so it
+        pickles exactly as the same dataset with live rows would.
+        """
         self._require_attribute(name)
         attribute = self._schema[name]
-        for record in self._records:
-            record._set(name, _normalise_cell(attribute, transform(record[name])))
+        encoded = self._encoded_column(name)
+        if encoded is not None:
+            values, codes = encoded
+        else:
+            codes, values = exact_cell_codes(
+                [record._values[name] for record in self._records]
+            )
+        images = [_normalise_cell(attribute, transform(value)) for value in values]
+        if encoded is not None:
+            remap, distinct = exact_cell_codes(images)
+            self._replace_encoded_column(name, (distinct, remap[codes]))
+        else:
+            for record, code in zip(self._records, codes.tolist()):
+                record._values[name] = images[code]
         self._columnar.pop(name, None)
         self._version += 1
 

@@ -100,7 +100,12 @@ class DatasetEditor:
         self._dataset.remove_attribute(name)
 
     def transform_column(self, name: str, transform: Callable[[Any], Any]) -> None:
-        """Apply ``transform`` to every value of a column (one undo step)."""
+        """Apply ``transform`` to every value of a column (one undo step).
+
+        ``transform`` runs once per distinct cell and its result goes to
+        every record holding that cell (see :meth:`Dataset.map_column`), so
+        it must be a pure function of the cell.
+        """
         self._checkpoint()
         self._dataset.map_column(name, transform)
 

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.columnar.bitset import indices_of, popcount, posting_matrix
+from repro.columnar.bitset import indices_of, popcount
 from repro.datasets.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
@@ -140,37 +140,12 @@ def candidate_matrix(
 
     Row ``t`` is the bitset of records whose (possibly generalized) itemset
     *covers* item ``ordered_items[t]`` — the attacker's view of who could
-    hold the item.  Itemset resolution is memoized per distinct itemset by
-    the shared ``interpreter``; items outside ``ordered_items`` are ignored.
+    hold the item; items outside ``ordered_items`` are ignored.  Built from
+    the column's label postings and cached on the column (see
+    :meth:`repro.columnar.column.TransactionColumn.candidate_matrix`), so
+    the k^m check and the attacks on one output share one read-only build.
     """
-    token_of = {item: token for token, item in enumerate(ordered_items)}
-    itemset_tokens: dict[frozenset, np.ndarray] = {}
-    token_chunks: list[np.ndarray] = []
-    record_chunks: list[np.ndarray] = []
-    for position, record in enumerate(dataset):
-        labels = record[attribute]
-        tokens = itemset_tokens.get(labels)
-        if tokens is None:
-            covered = [
-                item
-                for item in interpreter.covered_items(labels)
-                if item in token_of
-            ]
-            tokens = np.fromiter(
-                (token_of[item] for item in covered),
-                dtype=np.int64,
-                count=len(covered),
-            )
-            itemset_tokens[labels] = tokens
-        if tokens.size:
-            token_chunks.append(tokens)
-            record_chunks.append(np.full(tokens.size, position, dtype=np.int64))
-    return posting_matrix(
-        np.concatenate(token_chunks) if token_chunks else np.empty(0, np.int64),
-        np.concatenate(record_chunks) if record_chunks else np.empty(0, np.int64),
-        len(ordered_items),
-        len(dataset),
-    )
+    return dataset.columnar(attribute).candidate_matrix(interpreter, ordered_items)
 
 
 @dataclass(frozen=True)
@@ -208,9 +183,8 @@ def km_violations(
     if universe is None:
         unrestricted = interpreter_for(hierarchy)
         derived: set[str] = set()
-        for record in dataset:
-            for label in record[attribute]:
-                derived |= unrestricted.leaves(label)
+        for label in dataset.columnar(attribute).vocabulary.items:
+            derived |= unrestricted.leaves(label)
         universe = derived
     universe_set = {str(item) for item in universe}
     ordered = sorted(universe_set)

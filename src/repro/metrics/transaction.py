@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.dataset import Dataset
-from repro.datasets.statistics import value_frequencies
 from repro.exceptions import DatasetError
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.index import LabelInterpreter, generalization_cost, interpreter_for
@@ -260,10 +259,16 @@ def item_frequency_error(
     hierarchy: Hierarchy | None = None,
     floor: float = 1.0,
 ) -> dict[str, float]:
-    """Per-item relative error between original and estimated supports."""
+    """Per-item relative error between original and estimated supports.
+
+    Original supports are one ``bincount`` over the original's cached
+    :class:`~repro.columnar.column.TransactionColumn` tokens.
+    """
     attribute = attribute or original.single_transaction_attribute()
-    universe = original.item_universe(attribute)
-    actual = value_frequencies(original, attribute)
+    column = original.columnar(attribute)
+    universe = column.vocabulary.universe()
+    supports = np.bincount(column.tokens, minlength=len(column.vocabulary))
+    actual = dict(zip(column.vocabulary.items, supports.tolist()))
     estimated = estimated_item_frequencies(
         anonymized, universe, attribute=attribute, hierarchy=hierarchy
     )

@@ -1,7 +1,11 @@
 """Unit tests for the columnar layer: vocabulary, CSR column, bitset kernels."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import (
     ItemVocabulary,
@@ -22,6 +26,17 @@ from repro.exceptions import SchemaError
 def make_transactions(baskets) -> Dataset:
     schema = Schema([Attribute.transaction("Items")])
     return Dataset(schema, [{"Items": basket} for basket in baskets])
+
+
+def per_record_layout(dataset: Dataset) -> tuple[list, list, list]:
+    """Vocabulary, row offsets and tokens of a record-by-record tokenization."""
+    universe = sorted({item for record in dataset for item in record["Items"]})
+    items = {item: token for token, item in enumerate(universe)}
+    indptr, tokens = [0], []
+    for record in dataset:
+        tokens += sorted(items[item] for item in record["Items"])
+        indptr.append(len(tokens))
+    return list(items), indptr, tokens
 
 
 class TestBitsetKernels:
@@ -141,6 +156,26 @@ class TestTransactionColumn:
         assert sorted(decoded[2:]) == [("x", "c"), ("y", "c")]
         # Cached per source column; a different source rebuilds.
         assert target.occurrence_join(source) is target.occurrence_join(source)
+
+    @given(
+        baskets=st.lists(
+            st.frozensets(st.sampled_from("abcdefgh"), max_size=4), max_size=40
+        ),
+        form=st.sampled_from(["live", "copy", "pickled"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_itemset_build_matches_per_record_scan(self, baskets, form):
+        dataset = make_transactions(baskets)
+        expected = per_record_layout(dataset)
+        if form == "copy":
+            dataset = dataset.copy()
+        elif form == "pickled":
+            dataset = pickle.loads(pickle.dumps(dataset))
+        column = TransactionColumn.from_dataset(dataset)
+        assert list(column.vocabulary.items) == expected[0]
+        assert column.indptr.dtype == np.int64 and column.tokens.dtype == np.int32
+        assert column.indptr.tolist() == expected[1]
+        assert column.tokens.tolist() == expected[2]
 
     def test_empty_dataset(self):
         dataset = make_transactions([])

@@ -1,9 +1,17 @@
 """Tests for CSV dataset input/output."""
 
+import csv
+import io
+import math
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import (
     Attribute,
+    Dataset,
     Schema,
     load_csv,
     read_csv_text,
@@ -11,6 +19,7 @@ from repro.datasets import (
     write_csv_text,
     toy_rt_dataset,
 )
+from repro.datasets.csv_io import _format_cell
 from repro.exceptions import DatasetError
 
 CSV_TEXT = """Age,Education,Items
@@ -93,3 +102,63 @@ class TestWriteCsv:
     def test_load_missing_file_raises(self, tmp_path):
         with pytest.raises(DatasetError):
             load_csv(tmp_path / "missing.csv")
+
+
+def reference_csv_text(dataset, delimiter=",", item_separator=" "):
+    """Per-record reference writer: one formatted cell at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(dataset.schema.names)
+    for record in dataset:
+        writer.writerow(
+            [
+                _format_cell(attribute, record[attribute.name], item_separator)
+                for attribute in dataset.schema
+            ]
+        )
+    return buffer.getvalue()
+
+
+EDGE_NUMBERS = st.one_of(
+    st.sampled_from([25, 25.0, -0.0, 0.0, 0, 2.5, math.nan, math.inf, None]),
+    st.sampled_from(["[20-40]", "*", "†"]),
+    st.integers(-1000, 1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+EDGE_LABELS = st.one_of(st.none(), st.text(alphabet='ab,"\n *', max_size=4))
+EDGE_ITEMSETS = st.frozensets(st.text(alphabet="ab*†,", min_size=1, max_size=3), max_size=3)
+
+
+@st.composite
+def edge_datasets(draw):
+    names = draw(st.lists(st.sampled_from(["numeric", "categorical", "transaction"]), max_size=3))
+    schema = Schema(
+        getattr(Attribute, kind)(f"c{position}") for position, kind in enumerate(names)
+    )
+    cells = {"numeric": EDGE_NUMBERS, "categorical": EDGE_LABELS, "transaction": EDGE_ITEMSETS}
+    rows = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {f"c{position}": cells[kind] for position, kind in enumerate(names)}
+            ),
+            max_size=20,
+        )
+    )
+    return Dataset(schema, rows)
+
+
+class TestWriteCsvByteIdentity:
+    @given(dataset=edge_datasets(), separator=st.sampled_from([" ", ";"]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_record_writer_on_live_and_encoded(self, dataset, separator):
+        expected = reference_csv_text(dataset, item_separator=separator)
+        encoded = dataset.copy()
+        loaded = pickle.loads(pickle.dumps(dataset))
+        for target in (dataset, encoded, loaded):
+            assert write_csv_text(target, item_separator=separator) == expected
+        assert encoded._rows is None and loaded._rows is None
+
+    def test_zero_attribute_rows_are_empty_lines(self):
+        dataset = Dataset(Schema([]), [{}, {}])
+        assert write_csv_text(dataset) == reference_csv_text(dataset) == "\n\n\n"
+        assert write_csv_text(dataset.copy()) == "\n\n\n"

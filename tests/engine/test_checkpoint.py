@@ -10,6 +10,7 @@ cells recomputed with a structured warning).
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import struct
@@ -173,6 +174,36 @@ class TestCheckpointStore:
         outcome = store.load(key)
         assert outcome.status == "hit"
         assert outcome.value == {"answer": 42}
+
+    def test_load_pauses_the_collector_and_restores_its_state(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path / "ckpt")
+        key = task_key("unit", 7)
+        store.store(key, [[n] for n in range(50)])
+        states = []
+        real_loads = pickle.loads
+
+        def spying_loads(payload):
+            states.append(gc.isenabled())
+            if len(states) == 3:
+                raise pickle.UnpicklingError("damaged")
+            return real_loads(payload)
+
+        monkeypatch.setattr("repro.engine.checkpoint.pickle.loads", spying_loads)
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable()
+            assert store.load(key).value == [[n] for n in range(50)]
+            assert gc.isenabled()
+            gc.disable()
+            assert store.load(key).status == "hit"
+            assert not gc.isenabled()
+            gc.enable()
+            # A payload that fails to unpickle still restores the collector.
+            assert store.load(key).status == "corrupt"
+            assert gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert states == [False, False, False]
 
     def test_malformed_key_rejected(self, tmp_path):
         store = CheckpointStore(tmp_path)

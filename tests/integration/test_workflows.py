@@ -109,3 +109,21 @@ class TestCsvWorkflow:
         )
         reloaded = load_csv(out_path, transaction_columns=["Items"])
         assert len(reloaded) == 40
+
+
+class TestEncodedOutputs:
+    """Evaluation mode measures, exports and stores an output without its rows."""
+
+    @pytest.mark.parametrize("algorithm", ["coat", "pcta"])
+    def test_evaluate_and_export_never_decode_the_output(self, algorithm, tmp_path):
+        session = Session.generate_rt(n_records=300, n_items=20, skew=2.5, seed=5)
+        report = session.evaluate(
+            transaction_config(algorithm, k=5, m=1), simulate_attacks=True
+        )
+        written = session.exporter(tmp_path).export_evaluation(report, stem=algorithm)
+        assert report.anonymized._rows is None
+        assert report.privacy["km_anonymous"] is True
+        reloaded = load_csv(written["anonymized"], transaction_columns=["Items"])
+        assert [record["Items"] for record in reloaded] == [
+            record["Items"] for record in report.anonymized
+        ]

@@ -101,12 +101,16 @@ class TestKernelOracleEquivalence:
         instance=attack_instances(),
         m=st.integers(1, 3),
         cap=st.one_of(st.none(), st.integers(1, 4)),
+        encoded=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_item_attack(self, instance, m, cap):
+    def test_item_attack(self, instance, m, cap, encoded):
         original, published = instance
+        # The kernel reads columns, so column-encoded copies must give the
+        # oracle's result on the live datasets.
+        kernel_inputs = (original.copy(), published.copy()) if encoded else instance
         assert item_attack(
-            original, published, m, knowledge_cap=cap, vectorized=True
+            *kernel_inputs, m, knowledge_cap=cap, vectorized=True
         ) == item_attack(
             original, published, m, knowledge_cap=cap, vectorized=False
         )

@@ -8,6 +8,8 @@ brute-force references below mirror the pre-index metric implementations
 :func:`repro.metrics.interpretation.label_leaves`.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.exceptions import AlgorithmError
 from repro.index import InvertedIndex
 from repro.metrics import (
     estimated_item_frequencies,
+    item_frequency_error,
     label_leaves,
     suppression_ratio,
     utility_loss,
@@ -124,6 +127,20 @@ def brute_force_estimated_frequencies(anonymized: Dataset, universe) -> dict:
     return estimates
 
 
+def row_counter_item_frequency_error(original: Dataset, anonymized: Dataset) -> dict:
+    """Item-frequency errors with original supports counted row by row."""
+    supports = Counter()
+    for record in original:
+        supports.update(record["Items"])
+    universe = original.item_universe("Items")
+    estimated = estimated_item_frequencies(anonymized, universe)
+    return {
+        item: abs(estimated.get(item, 0.0) - supports.get(item, 0))
+        / max(supports.get(item, 0), 1.0)
+        for item in sorted(universe)
+    }
+
+
 class TestMetricEquivalence:
     @given(baskets=itemsets, mapping=mappings)
     @settings(max_examples=60, deadline=None)
@@ -154,6 +171,20 @@ class TestMetricEquivalence:
         assert set(fast) == set(slow)
         for item in fast:
             assert fast[item] == pytest.approx(slow[item])
+
+    @given(baskets=itemsets, mapping=mappings, encoded=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_item_frequency_error_equals_row_counter_supports(
+        self, baskets, mapping, encoded
+    ):
+        original = make_dataset(baskets)
+        if encoded:
+            original = original.copy()
+        anonymized = apply_mapping(original, mapping)
+        errors = item_frequency_error(original, anonymized)
+        assert list(errors.items()) == list(
+            row_counter_item_frequency_error(original, anonymized).items()
+        )
 
 
 # -- algorithm output equivalence (cached vs. uncached posting unions) ----------
